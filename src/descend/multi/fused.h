@@ -13,9 +13,11 @@
  *    automaton work per event — the backend that scales to 1k+
  *    subscriptions — but subset construction is capped, so adversarial
  *    sets (many descendants × wildcards) can exceed the state budget.
+ *    Filter selectors compile as wildcard arcs; each filter-bearing
+ *    subscriber's predicate runs when the product reports a candidate.
  *
  * `auto` resolves the tradeoff: compile the product, fall back to lanes
- * when the cap trips. Both backends report through MultiSink with input
+ * only when the cap trips. Both backends report through MultiSink with input
  * query indexing (duplicates deduplicated at compile time each receive
  * their own callbacks) and enforce per-query match limits exactly as N
  * independent runs would.

@@ -14,13 +14,72 @@ namespace {
 
 constexpr std::size_t kNoError = stream::StreamResult::kNone;
 
+/** One buffered match: the query it belongs to and its intra-record
+ *  offset. */
+struct QueryMatch {
+    std::size_t query;
+    std::size_t offset;
+};
+
 /** One record's buffered fused-run outcome, produced by a worker. */
 struct RecordOutcome {
     std::size_t record = 0;
     EngineStatus status;
-    /** Per-query intra-record match offsets; populated only when
-     *  status.ok(), so a failed record never leaks partial matches. */
-    std::vector<std::vector<std::size_t>> offsets;
+    /** [begin, end) into the batch's match buffer, queries ascending and
+     *  report order within a query; empty unless status.ok(), so a failed
+     *  record never leaks partial matches. */
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/** A batch's outcomes and the one flat buffer their matches live in. */
+struct BatchOutcome {
+    std::vector<RecordOutcome> records;
+    std::vector<QueryMatch> matches;
+};
+
+/**
+ * A worker's reusable sink: buffers one record's matches in report order
+ * and appends them to a batch buffer grouped by query. Buffers keep their
+ * capacity across records (the RunScratch pattern of StreamExecutor), so
+ * the steady state allocates nothing per record.
+ */
+class RecordCollector final : public MultiSink {
+public:
+    explicit RecordCollector(std::size_t num_queries) : starts_(num_queries)
+    {
+    }
+
+    void on_match(std::size_t query_index, std::size_t offset) override
+    {
+        pending_.push_back({query_index, offset});
+    }
+
+    void reset() noexcept { pending_.clear(); }
+
+    /** Appends the buffered matches to @p out, queries ascending and report
+     *  (document) order within a query: a stable counting sort by query. */
+    void flush_into(std::vector<QueryMatch>& out)
+    {
+        std::fill(starts_.begin(), starts_.end(), 0);
+        for (const QueryMatch& match : pending_) {
+            ++starts_[match.query];
+        }
+        std::size_t next = out.size();
+        for (std::size_t& start : starts_) {
+            next += start;
+            start = next - start;
+        }
+        out.resize(next);
+        for (const QueryMatch& match : pending_) {
+            out[starts_[match.query]++] = match;
+        }
+    }
+
+private:
+    std::vector<QueryMatch> pending_;
+    /** Counting-sort scratch: per-query write cursors into the output. */
+    std::vector<std::size_t> starts_;
 };
 
 /** Atomic fetch-min (see stream_executor.cpp for why this makes
@@ -74,7 +133,7 @@ stream::StreamResult MultiStreamExecutor::run_records(
     const RunBudget& stream_budget = options_.stream_budget;
     const bool stream_governed = stream_budget.active();
     const bool record_governed = options_.record_budget_ms > 0;
-    std::vector<std::vector<RecordOutcome>> outcomes(num_batches);
+    std::vector<BatchOutcome> outcomes(num_batches);
     std::atomic<std::size_t> next_batch{0};
     std::atomic<std::size_t> error_floor{kNoError};
     // First record that did not finish because the stream budget tripped
@@ -95,6 +154,9 @@ stream::StreamResult MultiStreamExecutor::run_records(
             fault::maybe_stall(fault::Site::kWorkerStartup);
         }
         ShardObs& local = shard_obs[shard];
+        // One collector for every record (and scalar retry) this worker
+        // runs.
+        RecordCollector collector(num_queries);
         // Scalar-tier fused engine for kRetryScalar, built on first use
         // (same backend selection as the primary engine).
         std::unique_ptr<FusedEngine> scalar_engine;
@@ -113,8 +175,8 @@ stream::StreamResult MultiStreamExecutor::run_records(
             if (fail_fast && first > error_floor.load(std::memory_order_relaxed)) {
                 continue;
             }
-            std::vector<RecordOutcome>& out = outcomes[batch];
-            out.reserve(last - first);
+            BatchOutcome& out = outcomes[batch];
+            out.records.reserve(last - first);
             bool budget_tripped = false;
             for (std::size_t r = first; r < last; ++r) {
                 if (fail_fast && r > error_floor.load(std::memory_order_relaxed)) {
@@ -127,7 +189,7 @@ stream::StreamResult MultiStreamExecutor::run_records(
                     break;
                 }
                 const stream::RecordSpan& span = records[r];
-                CollectingMultiSink collector(num_queries);
+                collector.reset();
                 RecordOutcome outcome;
                 outcome.record = r;
                 RunBudget record_budget = stream_budget;
@@ -175,15 +237,15 @@ stream::StreamResult MultiStreamExecutor::run_records(
                             MultiQuery::compile(sources), scalar_options,
                             backend_);
                     }
-                    CollectingMultiSink scalar_collector(num_queries);
+                    collector.reset();
                     RunStats scalar_stats =
                         stream_governed || record_governed
                             ? scalar_engine->run_with_stats(
                                   input.subview(span.begin, span.size()),
-                                  scalar_collector, record_budget)
+                                  collector, record_budget)
                             : scalar_engine->run_with_stats(
                                   input.subview(span.begin, span.size()),
-                                  scalar_collector);
+                                  collector);
                     ++local.retried;
                     local.counters.add(obs::Counter::kScalarRetries);
                     if (scalar_stats.status.code != outcome.status.code ||
@@ -192,17 +254,17 @@ stream::StreamResult MultiStreamExecutor::run_records(
                         local.counters.add(obs::Counter::kTierDivergences);
                     }
                     outcome.status = scalar_stats.status;
-                    if (outcome.status.ok()) {
-                        outcome.offsets = scalar_collector.all();
-                    }
-                } else if (outcome.status.ok()) {
-                    outcome.offsets = collector.all();
                 }
+                outcome.begin = out.matches.size();
+                if (outcome.status.ok()) {
+                    collector.flush_into(out.matches);
+                }
+                outcome.end = out.matches.size();
                 if (!outcome.status.ok() && fail_fast) {
                     lower_floor(error_floor, r);
                 }
                 bool failed = !outcome.status.ok();
-                out.push_back(std::move(outcome));
+                out.records.push_back(outcome);
                 if (fail_fast && failed) {
                     break;
                 }
@@ -241,7 +303,8 @@ stream::StreamResult MultiStreamExecutor::run_records(
     bool stopped = false;
     bool error_stopped = false;
     for (std::size_t batch = 0; batch < num_batches && !stopped; ++batch) {
-        for (const RecordOutcome& outcome : outcomes[batch]) {
+        const BatchOutcome& batch_outcome = outcomes[batch];
+        for (const RecordOutcome& outcome : batch_outcome.records) {
             if (outcome.record >= bfloor) {
                 // Finished after the budget floor: discarded, like a
                 // fail-fast record past the error floor.
@@ -254,12 +317,11 @@ stream::StreamResult MultiStreamExecutor::run_records(
                 break;
             }
             if (outcome.status.ok()) {
-                for (std::size_t q = 0; q < outcome.offsets.size(); ++q) {
-                    for (std::size_t offset : outcome.offsets[q]) {
-                        sink.on_match(q, outcome.record, offset);
-                        ++result.matches;
-                    }
+                for (std::size_t i = outcome.begin; i < outcome.end; ++i) {
+                    const QueryMatch& match = batch_outcome.matches[i];
+                    sink.on_match(match.query, outcome.record, match.offset);
                 }
+                result.matches += outcome.end - outcome.begin;
             } else {
                 sink.on_record_error(outcome.record, outcome.status);
                 ++result.failed_records;

@@ -1,8 +1,12 @@
 #include "descend/multi/product_engine.h"
 
+#include <memory>
+#include <vector>
+
 #include "descend/engine/label_search.h"
 #include "descend/engine/structural_iterator.h"
 #include "descend/engine/validation.h"
+#include "descend/project/filter_eval.h"
 #include "descend/util/bit_stack.h"
 #include "descend/util/inline_vector.h"
 #include "descend/util/utf8.h"
@@ -29,12 +33,16 @@ class ProductSimulation {
 public:
     ProductSimulation(const MultiQuery& queries, const ProductAutomaton& product,
                       const EngineOptions& options, MultiSink& sink,
-                      RunStats& stats, const RunBudget* budget = nullptr)
+                      RunStats& stats, PaddedView document,
+                      const simd::Kernels& kernels,
+                      const RunBudget* budget = nullptr)
         : queries_(queries),
           product_(product),
           options_(options),
           sink_(sink),
           stats_(stats),
+          document_(document),
+          kernels_(kernels),
           budget_(budget),
           other_(queries.alphabet().other_symbol()),
           counting_(queries.any_counting()),
@@ -336,8 +344,7 @@ public:
     /** Head-skip over the set-level label (ProductAutomaton::head_skip_label
      *  exists only when the whole set waits on it): one label search drives
      *  every subscriber. */
-    void run_head_skip(PaddedView document, const simd::Kernels& kernels,
-                       StructuralValidator* validator,
+    void run_head_skip(StructuralValidator* validator,
                        obs::BlockAccountant* accountant)
     {
         const ProductAutomaton& pa = product_;
@@ -346,18 +353,18 @@ public:
         int leaf_accept_id =
             pa.accept_set_id(pa.transition(pa.initial_state(), label_symbol));
 
-        LabelSearch search(document, kernels, label, validator, accountant,
+        LabelSearch search(document_, kernels_, label, validator, accountant,
                            budget_);
-        StructuralIterator iter(document, kernels, validator,
+        StructuralIterator iter(document_, kernels_, validator,
                                 options_.limits.max_depth, accountant, budget_);
 
         while (auto occurrence = search.next()) {
             stats_.counters.add(obs::Counter::kHeadSkipJumps);
             std::size_t value = iter.first_non_ws(occurrence->colon_pos + 1);
-            if (value >= document.size()) {
+            if (value >= document_.size()) {
                 break;
             }
-            std::uint8_t first = document.data()[value];
+            std::uint8_t first = document_.data()[value];
             if (first == classify::kOpenBrace || first == classify::kOpenBracket) {
                 iter.resume(search.resume_point_at(value));
                 run_main_loop(iter, /*at_document_root=*/false);
@@ -396,11 +403,17 @@ private:
      * ascending input order — the exact report order of the lanes backend
      * and of N independent runs. The match limit applies per distinct
      * query; duplicates share the counter and so trip it identically to
-     * their own independent runs.
+     * their own independent runs. A gated set runs each filter-bearing
+     * subscriber's predicate first: a rejected candidate is not a match, so
+     * it neither reaches the owners nor counts toward the limit.
      */
     void report_set(int accept_id, std::size_t offset)
     {
+        const bool gated = product_.accept_set_gated(accept_id);
         product_.accept_set(accept_id).for_each([&](std::size_t d) {
+            if (gated && !admits(d, offset)) {
+                return;
+            }
             if (++matches_[d] > options_.limits.max_match_count) {
                 fail(StatusCode::kMatchLimit, offset);
                 return;
@@ -412,16 +425,41 @@ private:
         });
     }
 
+    /** Distinct query @p d's filter verdict on the candidate at @p offset;
+     *  true for filter-free queries. A gate is built on its query's first
+     *  candidate of the run, so runs that surface no filter candidate
+     *  allocate nothing for filters. */
+    bool admits(std::size_t d, std::size_t offset)
+    {
+        const query::FilterExpr* filter = queries_.distinct(d).filter();
+        if (filter == nullptr) {
+            return true;
+        }
+        if (gates_.empty()) {
+            gates_.resize(queries_.num_distinct());
+        }
+        std::unique_ptr<project::FilterGate>& gate = gates_[d];
+        if (gate == nullptr) {
+            gate = std::make_unique<project::FilterGate>(
+                *filter, document_, kernels_, &stats_.counters);
+        }
+        return gate->admits(offset);
+    }
+
     const MultiQuery& queries_;
     const ProductAutomaton& product_;
     const EngineOptions& options_;
     MultiSink& sink_;
     RunStats& stats_;
+    PaddedView document_;
+    const simd::Kernels& kernels_;
     const RunBudget* budget_ = nullptr;
     const int other_;
     const bool counting_;
     /** Per-DISTINCT-query match tallies (limit enforcement). */
     std::vector<std::size_t> matches_;
+    /** Per-distinct-query filter gates, built lazily by admits(). */
+    std::vector<std::unique_ptr<project::FilterGate>> gates_;
     EngineStatus status_;
 };
 
@@ -488,9 +526,9 @@ RunStats ProductDescendEngine::dispatch(PaddedView document, MultiSink& sink,
     StructuralValidator validator;
     StructuralValidator* vptr = options_.validate_structure ? &validator : nullptr;
     ProductSimulation simulation(queries_, product_, options_, sink, stats,
-                                 budget_ptr);
+                                 document, *kernels_, budget_ptr);
     if (product_.head_skip_label().has_value() && options_.head_skipping) {
-        simulation.run_head_skip(document, *kernels_, vptr, &accountant);
+        simulation.run_head_skip(vptr, &accountant);
         stats.status = simulation.status();
         if (stats.status.ok() && vptr != nullptr) {
             stats.status = validator.verdict(document.size());

@@ -16,6 +16,10 @@
  * or takes the event). Matches fan out by iterating the target state's
  * subscriber bitset, then each distinct query's owner list — ascending,
  * so report order matches the lanes backend and N independent runs.
+ * A trailing filter is a wildcard arc in the product; accept sets with a
+ * filter-bearing subscriber are gated, and that subscriber's FilterGate
+ * (built on its first candidate of the run) decides at report time —
+ * the single report point DescendEngine and the lanes backend share.
  */
 #pragma once
 

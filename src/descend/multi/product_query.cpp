@@ -61,8 +61,17 @@ std::vector<TrieNode> build_trie(const MultiQuery& set)
             if (selector.kind == query::SelectorKind::kRoot) {
                 continue;
             }
+            // A trailing filter is a wildcard arc here, exactly as in the
+            // single-query automaton (nfa.cpp); its predicate runs when the
+            // engine reports a candidate (ProductSimulation::report_set).
+            // Lowering it before the edge lookup lets `$.a[?(...)]` share
+            // the `$.a.*` node with plain wildcards and other filters.
+            const query::SelectorKind kind =
+                selector.kind == query::SelectorKind::kChildFilter
+                    ? query::SelectorKind::kChildWildcard
+                    : selector.kind;
             std::vector<int> symbols;
-            switch (selector.kind) {
+            switch (kind) {
                 case query::SelectorKind::kChild:
                 case query::SelectorKind::kDescendant:
                     symbols.push_back(
@@ -85,20 +94,12 @@ std::vector<TrieNode> build_trie(const MultiQuery& set)
                             set.alphabet().label_symbol(member.escaped));
                     }
                     break;
-                case query::SelectorKind::kChildFilter:
-                    // Predicates are evaluated per lane over the candidate
-                    // value; the shared product automaton has no lane to
-                    // hang that on. Refuse compilation — FusedBackend::kAuto
-                    // catches this and falls back to per-query lanes.
-                    throw LimitError(
-                        "the product backend does not support filter "
-                        "selectors; use per-query lanes");
                 default:
                     break;
             }
             int next = -1;
             for (const TrieEdge& edge : trie[static_cast<std::size_t>(node)].edges) {
-                if (edge.kind == selector.kind && edge.symbols == symbols) {
+                if (edge.kind == kind && edge.symbols == symbols) {
                     next = edge.target;
                     break;
                 }
@@ -106,7 +107,7 @@ std::vector<TrieNode> build_trie(const MultiQuery& set)
             if (next < 0) {
                 next = static_cast<int>(trie.size());
                 trie[static_cast<std::size_t>(node)].edges.push_back(
-                    {selector.kind, symbols, next});
+                    {kind, symbols, next});
                 trie.emplace_back();
             }
             node = next;
@@ -235,7 +236,9 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
     std::vector<NfaRow> rows = build_rows(trie);
 
     // Accept-set interning; id 0 is the empty set so `!= 0` means accepts.
+    // A set is gated when any subscriber carries a filter predicate.
     std::vector<SubscriberSet> accept_sets{SubscriberSet(set.num_distinct())};
+    std::vector<bool> accept_gated{false};
     std::map<std::vector<std::uint64_t>, int> accept_ids{
         {accept_sets[0].words(), 0}};
 
@@ -267,6 +270,7 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
         std::vector<int> base;
         std::map<int, std::vector<int>> symbol_adds;
         SubscriberSet accepts(set.num_distinct());
+        bool gated = false;
         for (int member : subset) {
             const NfaRow& row = rows[static_cast<std::size_t>(member)];
             base.insert(base.end(), row.always.begin(), row.always.end());
@@ -276,6 +280,9 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
             if (member < static_cast<int>(trie.size())) {
                 for (int d : trie[static_cast<std::size_t>(member)].accepts) {
                     accepts.set(static_cast<std::size_t>(d));
+                    gated = gated ||
+                            set.distinct(static_cast<std::size_t>(d)).filter() !=
+                                nullptr;
                 }
             }
         }
@@ -296,6 +303,7 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
             accepts.words(), static_cast<int>(accept_sets.size()));
         if (inserted) {
             accept_sets.push_back(std::move(accepts));
+            accept_gated.push_back(gated);
         }
         state.accept_id = it->second;
         if (static_cast<std::size_t>(id) >= raw.size()) {
@@ -362,6 +370,7 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
         }
     }
     out.accept_sets_ = std::move(accept_sets);
+    out.accept_gated_ = std::move(accept_gated);
 
     // Per-state properties, mirroring automaton/properties.cpp over the
     // exception-list rows (a one-step successor is the fallback or one of

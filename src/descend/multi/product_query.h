@@ -12,6 +12,12 @@
  *     (child label / child wildcard / child index / descendant label /
  *     descendant wildcard) keyed by shared-alphabet symbols, so `$.a.x`
  *     and `$.a..y` share the `$.a` prefix state.
+ *   - A trailing filter `[?(...)]` lowers to a child-wildcard edge, so it
+ *     shares its node with `$.a.*` and with every other filter on the same
+ *     prefix. The automaton only surfaces candidates; accept sets holding a
+ *     filter-bearing subscriber are marked *gated* (accept_set_gated), and
+ *     the engine runs that subscriber's predicate at report time — the
+ *     same report-point gate DescendEngine and the lanes backend use.
  *   - Descendant recursion is modelled per-node with a companion *hub*
  *     state: a node with descendant edges contributes its hub to every
  *     successor (the "search goes on below" component), and the hub
@@ -114,6 +120,14 @@ public:
         return accept_sets_[static_cast<std::size_t>(set_id)];
     }
 
+    /** True when some subscriber of @p set_id carries a trailing filter:
+     *  the engine then gates each candidate through that query's
+     *  predicate before reporting it. */
+    bool accept_set_gated(int set_id) const noexcept
+    {
+        return accept_gated_[static_cast<std::size_t>(set_id)];
+    }
+
     /** Set-level head-skip label: present iff the initial state waits on a
      *  concrete label and accepts nothing (so skipped lead-in is invisible
      *  to every subscriber). Escaped comparison form. */
@@ -137,6 +151,7 @@ private:
     std::vector<std::int32_t> waiting_symbol_;
     std::vector<std::int32_t> accept_id_;
     std::vector<SubscriberSet> accept_sets_;
+    std::vector<bool> accept_gated_;
     std::optional<std::string> head_skip_label_;
 };
 

@@ -341,31 +341,79 @@ TEST(MultiEngine, ExtendedSelectorsAcrossBackends)
         {"$.a[0:2]", "$.a[1:4]", "$.a[2]", "$.a[1:]"}, document);
 }
 
-TEST(MultiEngine, FilterSetsFallBackToLanes)
+TEST(MultiEngine, FilterSetsRunOnTheProductBackend)
 {
-    // The product backend refuses filter selectors (report-time predicates
-    // are per-lane state); kAuto must degrade to lanes, and lanes must
-    // agree with independent runs.
-    std::vector<std::string> queries{"$.a[?(@.x>2)]", "$..x"};
+    // Filters lower to wildcard arcs in the product automaton and are
+    // gated at report time; product and lanes must both reproduce N
+    // independent runs in every configuration on every tier.
+    std::string document = R"({
+        "a": [{"x": 1}, {"x": 3, "y": 0}, {"y": "s"}, {"x": 9}, 4, [5]],
+        "b": {"x": 7, "a": [{"x": 8}, {"x": 2}]}
+    })";
+    // Two different filters under one prefix share one trie node.
+    expect_fused_matches_independent({"$.a[?(@.x>2)]", "$.a[?(@.y)]"},
+                                     document);
+    // A filter next to a plain wildcard on the same prefix, plus a
+    // descendant subscriber and a filter on another spine.
+    expect_fused_matches_independent(
+        {"$.a[?(@.x>2)]", "$.a.*", "$..x", "$.b.a[?(@.x==8)]"}, document);
+}
+
+TEST(MultiEngine, FilterInsideAHeadSkippedSet)
+{
+    // Every query starts with `$..a`, so the product head-skips to each
+    // `a` and runs the filters on candidates below it.
+    std::vector<std::string> queries{"$..a[?(@.x>2)]", "$..a.*.y",
+                                     "$..a[?(@.y=='s')]"};
+    std::string document = R"({
+        "p": {"a": [{"x": 3}, {"y": "s"}, {"x": 1, "y": "t"}]},
+        "q": [{"a": [{"x": 1, "y": "s"}]}, {"a": {"k": {"x": 5}}}]
+    })";
+    ProductDescendEngine engine(MultiQuery::compile(queries));
+    ASSERT_TRUE(engine.automaton().head_skip_label().has_value());
+    expect_fused_matches_independent(queries, document);
+}
+
+TEST(MultiEngine, RejectedFilterCandidatesDoNotConsumeTheMatchLimit)
+{
+    // Six candidates; the first filter admits two, the second one. A limit
+    // of two holds although the automaton surfaces six candidates per
+    // query; a limit of one trips at the second admitted candidate, where
+    // the independent run trips.
+    std::vector<std::string> queries{"$.a[?(@.x>2)]", "$.a[?(@.y)]"};
     std::string document =
-        R"({"a": [{"x": 1}, {"x": 3}, {"x": 9}], "b": {"x": 7}})";
+        R"({"a": [{"x": 1}, {"x": 2}, {"x": 3}, {"y": 0}, {"x": 1}, {"x": 9}]})";
     PaddedString padded(document);
-    EngineOptions options;
-    EXPECT_THROW(
-        multi::make_fused_engine(queries, options, FusedBackend::kProduct),
-        LimitError);
-    std::vector<std::vector<std::size_t>> expected =
-        independent_offsets(queries, padded, options);
-    for (FusedBackend backend : {FusedBackend::kLanes, FusedBackend::kAuto}) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        std::unique_ptr<multi::FusedEngine> fused =
-            multi::make_fused_engine(queries, options, backend);
-        CollectingMultiSink sink(queries.size());
-        ASSERT_EQ(fused->run(padded, sink), EngineStatus{});
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-            EXPECT_EQ(sink.offsets(q), expected[q]) << "query: " << queries[q];
+    for (std::size_t limit : {std::size_t{2}, std::size_t{1}}) {
+        SCOPED_TRACE("max_match_count " + std::to_string(limit));
+        EngineOptions options;
+        options.limits.max_match_count = limit;
+        DescendEngine single(automaton::CompiledQuery::compile(queries[0]),
+                             options);
+        OffsetSink single_sink;
+        EngineStatus expected = single.run(padded, single_sink);
+        EXPECT_EQ(expected.ok(), limit == 2);
+        for (FusedBackend backend : fused_backends()) {
+            SCOPED_TRACE("backend: " + backend_label(backend));
+            std::unique_ptr<multi::FusedEngine> fused =
+                multi::make_fused_engine(queries, options, backend);
+            CollectingMultiSink sink(queries.size());
+            EXPECT_EQ(fused->run(padded, sink), expected);
+            if (expected.ok()) {
+                EXPECT_EQ(sink.all(),
+                          independent_offsets(queries, padded, options));
+            }
         }
     }
+}
+
+TEST(MultiEngine, AutoResolvesFilterSetsToTheProduct)
+{
+    std::unique_ptr<multi::FusedEngine> engine = multi::make_fused_engine(
+        std::vector<std::string>{"$.a[?(@.x>2)]", "$..x", "$.b[?(@.y)]"}, {},
+        FusedBackend::kAuto);
+    EXPECT_EQ(engine->name().rfind("descend-product-", 0), 0u)
+        << engine->name();
 }
 
 TEST(MultiEngine, GeneratedDatasetMixes)
@@ -543,6 +591,105 @@ TEST(MultiStream, MalformedRecordFailsEveryLaneOfThatRecordOnly)
         stream::StreamResult aborted = strict.run(input, counting);
         EXPECT_FALSE(aborted.ok());
         EXPECT_EQ(counting.failed_records(), 1u);
+    }
+}
+
+/** 64 queries over build_stream's record shapes: eight families of eight
+ *  (indices, filters, descendants, children, wildcards, slices/unions), so
+ *  queries interleave their matches within a record. */
+std::vector<std::string> sixty_four_queries()
+{
+    std::vector<std::string> queries;
+    for (int k = 0; k < 8; ++k) {
+        queries.push_back("$.payload.rows[" + std::to_string(k) + "].id");
+        queries.push_back("$.id[" + std::to_string(k) + "]");
+        queries.push_back("$.payload.rows[?(@.id>" + std::to_string(k + 3) +
+                          ")]");
+        queries.push_back("$.*[?(@.id==" + std::to_string(k) + ")]");
+    }
+    for (const char* text :
+         {"$..id", "$..x", "$..deep", "$..rows", "$..meta", "$..payload",
+          "$..*", "$..id.*", "$.meta.id", "$.payload.id", "$.payload.x",
+          "$.x.deep.id", "$.x.deep", "$.id", "$.x", "$.meta", "$.*", "$.*.*",
+          "$.payload.*", "$.id.*", "$.x.*", "$.payload.rows.*", "$.*.id",
+          "$.*.*.id", "$.id[0:1]", "$.id[1:]", "$.payload.rows[0:2].id",
+          "$['meta','x']", "$['id','payload'].id", "$.payload['id','x']",
+          "$.payload.rows[1:].id", "$.x['deep']"}) {
+        queries.emplace_back(text);
+    }
+    return queries;
+}
+
+TEST(MultiStream, SixtyFourQueriesReplayInContractOrderAroundAFailedRecord)
+{
+    // Records 0..10 and 12..22 are well-formed; record 11 closes an array
+    // with a brace.
+    const std::vector<std::string> queries = sixty_four_queries();
+    ASSERT_EQ(queries.size(), 64u);
+    constexpr std::size_t kBroken = 11;
+    std::string text = build_stream(kBroken) + R"({"id": [4, {"id": 5}})" +
+                       "\n" + build_stream(11);
+    PaddedString input(text);
+    std::vector<stream::RecordSpan> records =
+        stream::split_records(input, simd::best_kernels());
+    ASSERT_EQ(records.size(), 23u);
+
+    // Oracle: each good record copied out and run through 64 single
+    // engines, in the replay contract's order — records ascending, then
+    // queries ascending, then document order.
+    std::vector<CollectingMultiStreamSink::Match> expected;
+    for (std::size_t r = 0; r < records.size(); ++r) {
+        if (r == kBroken) {
+            continue;
+        }
+        PaddedString copy(
+            input.view().substr(records[r].begin, records[r].size()));
+        std::vector<std::vector<std::size_t>> per_query =
+            independent_offsets(queries, copy, EngineOptions{});
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            for (std::size_t offset : per_query[q]) {
+                expected.push_back({q, r, offset});
+            }
+        }
+    }
+    std::vector<CollectingMultiStreamSink::Match> before_broken;
+    for (const auto& match : expected) {
+        if (match.record < kBroken) {
+            before_broken.push_back(match);
+        }
+    }
+
+    for (FusedBackend backend : fused_backends()) {
+        for (stream::ErrorPolicy policy :
+             {stream::ErrorPolicy::kSkipRecord, stream::ErrorPolicy::kFailFast,
+              stream::ErrorPolicy::kRetryScalar}) {
+            for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+                SCOPED_TRACE("backend " + backend_label(backend) + ", policy " +
+                             std::to_string(static_cast<int>(policy)) + ", " +
+                             std::to_string(threads) + " threads");
+                stream::StreamOptions options;
+                options.threads = threads;
+                options.policy = policy;
+                options.records_per_batch = 3;  // several batches
+                MultiStreamExecutor executor =
+                    MultiStreamExecutor::for_queries(queries, options, backend);
+                CollectingMultiStreamSink sink;
+                stream::StreamResult result =
+                    executor.run_records(input, records, sink);
+                const bool fail_fast =
+                    policy == stream::ErrorPolicy::kFailFast;
+                EXPECT_EQ(sink.matches(), fail_fast ? before_broken : expected);
+                EXPECT_EQ(result.matches, sink.matches().size());
+                ASSERT_EQ(sink.errors().size(), 1u);
+                EXPECT_EQ(sink.errors()[0].record, kBroken);
+                EXPECT_EQ(result.failed_records, 1u);
+                EXPECT_EQ(result.retried_records,
+                          policy == stream::ErrorPolicy::kRetryScalar ? 1u : 0u);
+                for (const auto& match : sink.matches()) {
+                    EXPECT_NE(match.record, kBroken);
+                }
+            }
+        }
     }
 }
 

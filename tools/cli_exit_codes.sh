@@ -24,6 +24,7 @@ check() {
 }
 
 printf '{"a": {"b": 1}}' > "$WORK/ok.json"
+printf '{"a": [{"b": 1}, {"c": 2}, {"b": 3}]}' > "$WORK/filter.json"
 printf '{"a": {"b": 1}' > "$WORK/truncated.json"
 python3 -c "print('['*2000 + ']'*2000)" > "$WORK/deep.json" 2>/dev/null \
     || { printf '%0.s[' $(seq 2000); printf '%0.s]' $(seq 2000); } > "$WORK/deep.json"
@@ -59,10 +60,30 @@ check 2 "non-final filter"            "$CLI" '$.a[?(@.x)].y' "$WORK/ok.json"
 check 2 "malformed filter literal"    "$CLI" '$[?(@.x==01)]' "$WORK/ok.json"
 check 2 "single-equals filter"        "$CLI" '$[?(@.x=1)]' "$WORK/ok.json"
 
-# 4: the product backend refuses filter selectors; a pinned --fused=product
-# multi-query run must fail as a limit, while auto falls back to lanes.
-check 4 "filter pinned to product"    "$CLI" --fused=product --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/ok.json"
-check 0 "filter under fused auto"     "$CLI" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/ok.json"
+# 0: filters compile into the product automaton; a pinned --fused=product
+# filter set must succeed with exactly the counts of --fused=auto.
+check 0 "filter pinned to product"    "$CLI" --fused=product --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
+check 0 "filter under fused auto"     "$CLI" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
+same_output() {
+    local label="$1"; shift
+    local a b
+    a="$("$CLI" --fused=product "$@" 2>&1)"
+    b="$("$CLI" --fused=auto "$@" 2>&1)"
+    if [ "$a" != "$b" ]; then
+        echo "FAIL: $label: --fused=product printed '$a', --fused=auto '$b'" >&2
+        fail=1
+    else
+        echo "ok: $label"
+    fi
+}
+same_output "filter counts product == auto" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
+
+# 4: a set past the product's 2^15-state cap (wildcards after descendants
+# blow up subset construction) fails a pinned --fused=product run as a
+# limit, while auto falls back to lanes.
+STARS='.*.*.*.*.*.*.*.*.*.*'
+check 4 "state cap pinned to product" "$CLI" --fused=product --count --query "\$..a$STARS" --query "\$..b$STARS" "$WORK/ok.json"
+check 0 "state cap under fused auto"  "$CLI" --count --query "\$..a$STARS" --query "\$..b$STARS" "$WORK/ok.json"
 
 # 3: malformed input.
 check 3 "truncated document"          "$CLI" '$..b' "$WORK/truncated.json"

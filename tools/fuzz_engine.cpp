@@ -74,7 +74,8 @@
  * at every kernel tier plus the surfer baseline must reproduce the DOM
  * oracle's match set exactly, and the same query sets run through BOTH
  * fused backends against independent per-query runs (filter-carrying sets
- * exercise the product backend's refusal and the lanes fallback).
+ * exercise the product backend's report-time gates; the summary counts
+ * those product legs).
  *
  * --multi N: fused multi-query mode. Random query sets of up to 64
  * subscriptions — corpus-derived bases extended with mutated shared
@@ -456,6 +457,11 @@ struct Stats {
     long still_valid = 0;
     long rejected = 0;
     long per_class[5] = {0, 0, 0, 0, 0};
+    /** check_multi product legs skipped because compilation refused the
+     *  set (the state cap). */
+    long product_refused = 0;
+    /** check_multi product legs compared on sets holding a filter. */
+    long filter_product_legs = 0;
 };
 
 int report(const Corpus& corpus, const Mutation& mutation, OracleClass oracle,
@@ -477,7 +483,10 @@ std::string offsets_text(const std::vector<std::size_t>& offsets)
 {
     std::string text = "[";
     for (std::size_t i = 0; i < offsets.size() && i < 16; ++i) {
-        text += (i ? " " : "") + std::to_string(offsets[i]);
+        if (i != 0) {
+            text += ' ';
+        }
+        text += std::to_string(offsets[i]);
     }
     if (offsets.size() > 16) {
         text += " ...";
@@ -1104,10 +1113,12 @@ int check_multi(const std::string& name, const Mutation& mutation,
 {
     PaddedString padded(mutation.document);
     bool any_head_skip = false;
+    bool any_filter = false;
     for (const std::string& text : queries) {
         auto compiled = automaton::CompiledQuery::compile(text);
         any_head_skip =
             any_head_skip || compiled.head_skip_label().has_value();
+        any_filter = any_filter || compiled.filter() != nullptr;
     }
     for (simd::Level level : available_levels()) {
         EngineOptions options;
@@ -1143,8 +1154,11 @@ int check_multi(const std::string& name, const Mutation& mutation,
             } catch (const LimitError&) {
                 // The product state cap — exactly what kAuto falls back
                 // on; the lanes leg still covers this set.
+                stats.product_refused += 1;
                 continue;
             }
+            const bool filter_product_leg =
+                any_filter && backend == multi::FusedBackend::kProduct;
             multi::CollectingMultiSink sink(queries.size());
             EngineStatus fused_status = fused->run(padded, sink);
 
@@ -1174,6 +1188,7 @@ int check_multi(const std::string& name, const Mutation& mutation,
                     }
                 }
                 stats.still_valid += 1;
+                stats.filter_product_legs += filter_product_leg ? 1 : 0;
             } else if (all_same) {
                 // Every lane rejects the document. The fused pass must
                 // reject too — but the *offset* (and with it the code
@@ -1200,6 +1215,7 @@ int check_multi(const std::string& name, const Mutation& mutation,
                                         mutation.document);
                 }
                 stats.rejected += 1;
+                stats.filter_product_legs += filter_product_leg ? 1 : 0;
             }
             // Mixed independent statuses (head-skip detection asymmetry):
             // no cross-engine expectation holds; skip.
@@ -1289,9 +1305,9 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
     }
     std::printf("fuzz_engine --multi: %ld mutants over %zu seeds OK\n"
                 "  parity-checked backend-runs: ok %ld, uniformly rejected "
-                "%ld\n",
+                "%ld; product legs refused (state cap): %ld\n",
                 stats.mutants, corpora.size(), stats.still_valid,
-                stats.rejected);
+                stats.rejected, stats.product_refused);
     return 0;
 }
 
@@ -1301,8 +1317,9 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
 // documents. Every streaming configuration at every kernel tier, plus the
 // surfer baseline, must reproduce the DOM oracle's match set exactly; the
 // same query sets also go through check_multi, so both fused backends are
-// covered (a set whose product compilation is refused — filters, state
-// cap — exercises exactly the kAuto lanes fallback).
+// covered — filter-bearing sets included, whose product legs the summary
+// counts (a set whose product compilation trips the state cap exercises
+// exactly the kAuto lanes fallback, and is counted as refused).
 // ---------------------------------------------------------------------------
 
 int report_selectors(std::uint64_t seed, const std::string& query,
@@ -1410,9 +1427,12 @@ int run_selectors_mode(long iterations, std::uint64_t seed0, bool verbose)
     std::printf(
         "fuzz_engine --selectors: %ld iterations OK\n"
         "  single-query runs: %ld (with filters %ld, with counters %ld); "
-        "fused sets: %ld\n",
+        "fused sets: %ld\n"
+        "  filter-set product legs checked: %ld; product legs refused "
+        "(state cap): %ld\n",
         iterations, checked_queries, filter_queries, counter_queries,
-        checked_sets);
+        checked_sets, set_stats.filter_product_legs,
+        set_stats.product_refused);
     return 0;
 }
 
