@@ -6,34 +6,34 @@
  *
  *   bench_multiquery [--mb N] [--repeat N] [--simd=LEVEL]
  *   bench_multiquery --scale [--mb N] [--repeat N] [--simd=LEVEL]
- *   bench_multiquery --smoke [--fused=MODE]
+ *   bench_multiquery --smoke
  *
  * A hand-rolled harness (not google-benchmark): the quantity of interest
  * is the wall time to answer a whole query SET, best-of-R over a
  * multi-megabyte document, with every timed engine verified to produce
  * identical per-query match sets before anything is trusted.
  *
- * Default mode compares sequential / lanes / product on the paper's
- * dataset scenarios (4-6 queries each); results go to
+ * Default mode compares sequential runs with the fused engine on the
+ * paper's dataset scenarios (4-6 queries each) and on two sets past the
+ * product state cap, which the engine splits into parts; results go to
  * BENCH_multiquery.json (DESCEND_BENCH_JSON overrides) via the shared
  * section-merging writer, the fused rows carrying speedup = sequential
- * seconds / backend seconds.
+ * seconds / fused seconds, the part count and the compile time.
  *
  * --scale: the subscription-count sweep behind the product automaton —
  * N in {4, 64, 256, 1024} queries, one shared-prefix-heavy mix (every
  * query descends the same object spine, so the product trie collapses
  * the common prefix to one state path) and one disjoint mix (unrelated
  * descendant labels), over an NDJSON firehose. Rows go to
- * BENCH_multiquery_scale.json: per (mix, N) one "lanes", one "product"
- * and one "sequential" row, gbps = stream bytes / wall seconds for the
- * whole set, the product rows carrying product_states and the
- * speedup_vs_lanes ratio.
+ * BENCH_multiquery_scale.json: per (mix, N) one "product" and one
+ * "sequential" row, gbps = stream bytes / wall seconds for the whole set,
+ * the product rows carrying product_states and speedup_vs_sequential.
  *
- * --smoke: small documents, full verification — for BOTH backends
- * (restrictable with --fused=lanes|product), single-document match sets
- * AND the NDJSON multi-stream executor at several thread counts compared
- * element-wise against N independent runs. Exits non-zero on any
- * mismatch; wired into CI under asan and on the scalar tier.
+ * --smoke: small documents, full verification — single-document match
+ * sets AND the NDJSON multi-stream executor at several thread counts
+ * compared element-wise against N independent runs, for every scenario,
+ * the split ones included. Exits non-zero on any mismatch; wired into CI
+ * under asan and on the scalar tier.
  */
 #include <chrono>
 #include <cstdio>
@@ -45,9 +45,7 @@
 #include "bench/bench_json.h"
 #include "descend/descend.h"
 #include "descend/multi/fused.h"
-#include "descend/multi/multi_engine.h"
 #include "descend/multi/multi_stream.h"
-#include "descend/multi/product_engine.h"
 #include "descend/workloads/datasets.h"
 
 namespace {
@@ -71,9 +69,11 @@ struct SetSpec {
  * Sets chosen so that the sequential baseline cannot hide behind the
  * memmem head-skip (child-first queries classify every block, so N runs
  * pay N classification passes — exactly the redundancy fusion removes).
- * The mixed set adds descendant queries whose skip disagreement exercises
- * the lanes backend's consensus fallback while the set as a whole still
- * amortizes classification.
+ * The mixed set adds descendant queries whose skips disagree with the
+ * child queries' while the set as a whole still amortizes
+ * classification. The two cap sets put wildcards after descendants
+ * (Section 3.1's blowup) until the product exceeds its state cap, so the
+ * engine runs them as parts.
  */
 std::vector<SetSpec> scenarios()
 {
@@ -96,13 +96,20 @@ std::vector<SetSpec> scenarios()
          {"$.items.*.bestMarketplacePrice.price", "$.items.*.name",
           "$.items.*.salePrice", "$.items.*.categoryPath"}},
         // Descendant (C1, C2r, C4r, C5r) + child (C4, C5) mix: the
-        // skippability-disagreeing case — child lanes want subtree skips
-        // the descendant lanes veto.
+        // skippability-disagreeing case — child queries allow subtree
+        // skips the descendant queries cannot.
         {"crossref-mixed",
          "crossref",
          {"$..DOI", "$..author..affiliation..name", "$..title",
           "$..author..ORCID", "$.items.*.title",
           "$.items.*.author.*.ORCID"}},
+        {"crossref-cap4",
+         "crossref",
+         {"$..author.*.*.*.*.*.*.*.*", "$..editor.*.*.*.*.*.*.*.*",
+          "$..affiliation.*.*.*.*.*.*.*.*", "$..title.*.*.*.*.*.*.*.*"}},
+        {"crossref-cap2",
+         "crossref",
+         {"$..a.*.*.*.*.*.*.*.*.*.*", "$..b.*.*.*.*.*.*.*.*.*.*"}},
     };
 }
 
@@ -155,27 +162,20 @@ int run_throughput(std::size_t target_bytes, std::size_t repeats)
         for (const std::string& text : texts) {
             engines.push_back(DescendEngine::for_query(text));
         }
-        std::unique_ptr<multi::FusedEngine> lanes = multi::make_fused_engine(
-            texts, {}, multi::FusedBackend::kLanes);
-        std::unique_ptr<multi::FusedEngine> product = multi::make_fused_engine(
-            texts, {}, multi::FusedBackend::kProduct);
+        Clock::time_point compile_start = Clock::now();
+        std::unique_ptr<multi::FusedEngine> fused =
+            multi::make_fused_engine(texts);
+        const double compile_s = seconds_since(compile_start);
 
-        // Correctness first: both fused match sets must be bit-identical
+        // Correctness first: the fused match sets must be bit-identical
         // to the N independent runs before a single timing is trusted.
         std::vector<std::vector<std::size_t>> expected =
             sequential_offsets(engines, document);
-        bool ok = true;
-        for (const multi::FusedEngine* fused :
-             {lanes.get(), product.get()}) {
-            multi::CollectingMultiSink collected(n);
-            EngineStatus status = fused->run(document, collected);
-            if (!status.ok() || collected.all() != expected) {
-                std::fprintf(stderr, "FAIL: %s: %s offsets != sequential\n",
-                             spec.name, fused->name().c_str());
-                ok = false;
-            }
-        }
-        if (!ok) {
+        multi::CollectingMultiSink collected(n);
+        EngineStatus status = fused->run(document, collected);
+        if (!status.ok() || collected.all() != expected) {
+            std::fprintf(stderr, "FAIL: %s: %s offsets != sequential\n",
+                         spec.name, fused->name().c_str());
             ++failures;
             continue;
         }
@@ -196,15 +196,15 @@ int run_throughput(std::size_t target_bytes, std::size_t repeats)
                 seq_best = seq_seconds;
             }
         }
-        double lanes_best = time_fused(*lanes, document, repeats);
-        double product_best = time_fused(*product, document, repeats);
+        double fused_best = time_fused(*fused, document, repeats);
+        const std::size_t parts = fused->parts().size();
 
         double gib = static_cast<double>(document.size()) /
                      (1024.0 * 1024.0 * 1024.0);
         std::printf("%-20s %zu queries  %7zu matches  seq %8.2f MB/s  "
-                    "lanes %8.2f MB/s  product %8.2f MB/s\n",
+                    "product %8.2f MB/s (%zu part(s), compile %.1f ms)\n",
                     spec.name, n, matches, gib * 1024.0 / seq_best,
-                    gib * 1024.0 / lanes_best, gib * 1024.0 / product_best);
+                    gib * 1024.0 / fused_best, parts, compile_s * 1e3);
 
         bench::BenchRow seq_row;
         seq_row.section = "multiquery";
@@ -215,49 +215,29 @@ int run_throughput(std::size_t target_bytes, std::size_t repeats)
         seq_row.extra.emplace_back("matches", static_cast<double>(matches));
         rows.push_back(std::move(seq_row));
 
-        struct Backend {
-            const char* suffix;
-            const multi::FusedEngine* engine;
-            double best;
-        };
-        for (const Backend& backend :
-             {Backend{"-lanes", lanes.get(), lanes_best},
-              Backend{"-product", product.get(), product_best}}) {
-            multi::CountingMultiSink counting(n);
-            RunStats stats =
-                backend.engine->run_with_stats(document, counting);
-            bench::BenchRow row;
-            row.section = "multiquery";
-            row.name = std::string(spec.name) + backend.suffix;
-            row.tier = tier;
-            row.gbps = gib / backend.best;
-            row.extra.emplace_back("queries", static_cast<double>(n));
-            row.extra.emplace_back("speedup", seq_best / backend.best);
-            row.extra.emplace_back("matches", static_cast<double>(matches));
-            if constexpr (obs::kEnabled) {
-                row.extra.emplace_back(
-                    "product_states",
-                    static_cast<double>(
-                        stats.counters.get(obs::Counter::kProductStates)));
-                row.extra.emplace_back(
-                    "product_skips",
-                    static_cast<double>(
-                        stats.counters.get(obs::Counter::kProductSkips)));
-                row.extra.emplace_back(
-                    "child_skip_suppressed",
-                    static_cast<double>(stats.counters.get(
-                        obs::Counter::kFusedChildSkipSuppressed)));
-                row.extra.emplace_back(
-                    "sibling_skip_suppressed",
-                    static_cast<double>(stats.counters.get(
-                        obs::Counter::kFusedSiblingSkipSuppressed)));
-                row.extra.emplace_back(
-                    "within_skip_suppressed",
-                    static_cast<double>(stats.counters.get(
-                        obs::Counter::kFusedWithinSkipSuppressed)));
-            }
-            rows.push_back(std::move(row));
+        multi::CountingMultiSink counting(n);
+        RunStats stats = fused->run_with_stats(document, counting);
+        bench::BenchRow row;
+        row.section = "multiquery";
+        row.name = std::string(spec.name) + "-product";
+        row.tier = tier;
+        row.gbps = gib / fused_best;
+        row.extra.emplace_back("queries", static_cast<double>(n));
+        row.extra.emplace_back("speedup", seq_best / fused_best);
+        row.extra.emplace_back("matches", static_cast<double>(matches));
+        row.extra.emplace_back("parts", static_cast<double>(parts));
+        row.extra.emplace_back("compile_ms", compile_s * 1e3);
+        if constexpr (obs::kEnabled) {
+            row.extra.emplace_back(
+                "product_states",
+                static_cast<double>(
+                    stats.counters.get(obs::Counter::kProductStates)));
+            row.extra.emplace_back(
+                "product_skips",
+                static_cast<double>(
+                    stats.counters.get(obs::Counter::kProductSkips)));
         }
+        rows.push_back(std::move(row));
     }
 
     const char* env = std::getenv("DESCEND_BENCH_JSON");
@@ -297,7 +277,7 @@ struct ScaleMix {
  * subscription walks the same `$.products.*` spine to a distinct leaf
  * field (a handful of real catalog fields cycled, the rest synthetic
  * tenant fields) — the product trie collapses the spine to one state
- * path, while the lanes backend steps N automata through every event.
+ * path, where N independent runs step N automata through every event.
  * Disjoint: unrelated `$..fieldN` descendant labels with no sharing at
  * all — the stress case for subset construction, still one transition
  * per event at run time.
@@ -353,57 +333,48 @@ int run_scale(std::size_t target_bytes, std::size_t repeats)
             stream::StreamOptions stream_options;
             stream_options.threads = 1;
 
-            // Oracle once per (mix, N): product must agree with lanes on
-            // the full per-query count vector before timings are trusted.
-            multi::MultiStreamExecutor lanes_exec(
-                multi::MultiQuery::compile(texts), stream_options,
-                multi::FusedBackend::kLanes);
             multi::MultiStreamExecutor product_exec(
-                multi::MultiQuery::compile(texts), stream_options,
-                multi::FusedBackend::kProduct);
-            multi::CountingMultiStreamSink lanes_counts(n);
-            multi::CountingMultiStreamSink product_counts(n);
-            lanes_exec.run_records(stream_input, records, lanes_counts);
-            product_exec.run_records(stream_input, records, product_counts);
-            std::size_t matches = 0;
-            bool ok = true;
-            for (std::size_t q = 0; q < n; ++q) {
-                matches += lanes_counts.count(q);
-                if (lanes_counts.count(q) != product_counts.count(q)) {
-                    ok = false;
-                }
-            }
-            if (!ok) {
-                std::fprintf(stderr,
-                             "FAIL: %s N=%zu: product counts != lanes\n",
-                             mix.name, n);
-                ++failures;
-                continue;
-            }
-
-            auto time_stream = [&](const multi::MultiStreamExecutor& exec) {
-                double best = 0;
-                for (std::size_t r = 0; r < repeats; ++r) {
-                    multi::CountingMultiStreamSink sink(n);
-                    Clock::time_point start = Clock::now();
-                    exec.run_records(stream_input, records, sink);
-                    double seconds = seconds_since(start);
-                    if (r == 0 || seconds < best) {
-                        best = seconds;
-                    }
-                }
-                return best;
-            };
-            double lanes_best = time_stream(lanes_exec);
-            double product_best = time_stream(product_exec);
+                multi::MultiQuery::compile(texts), stream_options);
 
             // Sequential baseline: N single-query stream passes (N
             // classification passes — the redundancy any fusion removes).
+            // It is also the oracle: the product must agree with it on the
+            // full per-query count vector before timings are trusted.
             std::vector<stream::StreamExecutor> sequential;
             sequential.reserve(n);
             for (const std::string& text : texts) {
                 sequential.emplace_back(
                     automaton::CompiledQuery::compile(text), stream_options);
+            }
+            multi::CountingMultiStreamSink product_counts(n);
+            product_exec.run_records(stream_input, records, product_counts);
+            std::size_t matches = 0;
+            bool ok = true;
+            for (std::size_t q = 0; q < n; ++q) {
+                stream::CountingStreamSink sink;
+                sequential[q].run_records(stream_input, records, sink);
+                matches += sink.matches();
+                if (sink.matches() != product_counts.count(q)) {
+                    ok = false;
+                }
+            }
+            if (!ok) {
+                std::fprintf(stderr,
+                             "FAIL: %s N=%zu: product counts != sequential\n",
+                             mix.name, n);
+                ++failures;
+                continue;
+            }
+
+            double product_best = 0;
+            for (std::size_t r = 0; r < repeats; ++r) {
+                multi::CountingMultiStreamSink sink(n);
+                Clock::time_point start = Clock::now();
+                product_exec.run_records(stream_input, records, sink);
+                double seconds = seconds_since(start);
+                if (r == 0 || seconds < product_best) {
+                    product_best = seconds;
+                }
             }
             double seq_best = 0;
             for (std::size_t r = 0; r < repeats; ++r) {
@@ -419,24 +390,22 @@ int run_scale(std::size_t target_bytes, std::size_t repeats)
             }
 
             std::size_t product_states = 0;
-            if (const auto* engine =
-                    dynamic_cast<const multi::ProductDescendEngine*>(
-                        &product_exec.engine())) {
-                product_states = engine->automaton().num_states();
+            for (const multi::ProductAutomaton& part :
+                 product_exec.engine().parts()) {
+                product_states += static_cast<std::size_t>(part.num_states());
             }
             std::printf(
-                "%-14s N=%-5zu %7zu matches  seq %8.2f MB/s  lanes %8.2f "
-                "MB/s  product %8.2f MB/s (%zu states, %.2fx vs lanes)\n",
+                "%-14s N=%-5zu %7zu matches  seq %8.2f MB/s  product %8.2f "
+                "MB/s (%zu states, %.2fx vs sequential)\n",
                 mix.name, n, matches, gib * 1024.0 / seq_best,
-                gib * 1024.0 / lanes_best, gib * 1024.0 / product_best,
-                product_states, lanes_best / product_best);
+                gib * 1024.0 / product_best, product_states,
+                seq_best / product_best);
 
             struct Row {
                 const char* backend;
                 double best;
             };
             for (const Row& r : {Row{"sequential", seq_best},
-                                 Row{"lanes", lanes_best},
                                  Row{"product", product_best}}) {
                 bench::BenchRow row;
                 row.section = "multiquery_scale";
@@ -451,8 +420,6 @@ int run_scale(std::size_t target_bytes, std::size_t repeats)
                     row.extra.emplace_back(
                         "product_states",
                         static_cast<double>(product_states));
-                    row.extra.emplace_back("speedup_vs_lanes",
-                                           lanes_best / r.best);
                     row.extra.emplace_back("speedup_vs_sequential",
                                            seq_best / r.best);
                 }
@@ -468,16 +435,9 @@ int run_scale(std::size_t target_bytes, std::size_t repeats)
     return failures == 0 ? 0 : 1;
 }
 
-int run_smoke(multi::FusedBackend only, bool restricted)
+int run_smoke()
 {
     int failures = 0;
-    std::vector<multi::FusedBackend> backends;
-    if (restricted) {
-        backends.push_back(only);
-    } else {
-        backends.push_back(multi::FusedBackend::kLanes);
-        backends.push_back(multi::FusedBackend::kProduct);
-    }
     for (const SetSpec& spec : scenarios()) {
         const std::vector<std::string>& texts = spec.queries;
         const std::size_t n = texts.size();
@@ -491,18 +451,15 @@ int run_smoke(multi::FusedBackend only, bool restricted)
             workloads::generate(spec.dataset, std::size_t{256} << 10));
         std::vector<std::vector<std::size_t>> expected =
             sequential_offsets(engines, document);
-        for (multi::FusedBackend backend : backends) {
-            std::unique_ptr<multi::FusedEngine> fused =
-                multi::make_fused_engine(texts, {}, backend);
-            multi::CollectingMultiSink collected(n);
-            EngineStatus status = fused->run(document, collected);
-            bool ok = status.ok() && collected.all() == expected;
-            std::printf("smoke: %-20s single-doc %-7s ... %s\n", spec.name,
-                        multi::fused_backend_name(backend).data(),
-                        ok ? "ok" : "MISMATCH");
-            if (!ok) {
-                ++failures;
-            }
+        std::unique_ptr<multi::FusedEngine> fused =
+            multi::make_fused_engine(texts);
+        multi::CollectingMultiSink collected(n);
+        EngineStatus status = fused->run(document, collected);
+        bool ok = status.ok() && collected.all() == expected;
+        std::printf("smoke: %-20s single-doc %zu part(s) ... %s\n", spec.name,
+                    fused->parts().size(), ok ? "ok" : "MISMATCH");
+        if (!ok) {
+            ++failures;
         }
 
         // NDJSON: the multi-stream executor against a per-record oracle of
@@ -531,32 +488,29 @@ int run_smoke(multi::FusedBackend only, bool restricted)
         // The oracle iterates queries-within-record but emits per (r, q);
         // the executor replays records ascending, queries ascending — the
         // same order, so element-wise comparison is exact.
-        for (multi::FusedBackend backend : backends) {
-            for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                        std::size_t{4}}) {
-                stream::StreamOptions options;
-                options.threads = threads;
-                multi::MultiStreamExecutor executor(
-                    multi::MultiQuery::compile(texts), options, backend);
-                multi::CollectingMultiStreamSink sink;
-                stream::StreamResult result =
-                    executor.run_records(stream_input, records, sink);
-                bool stream_ok = result.ok() && sink.matches() == oracle;
-                std::printf(
-                    "smoke: %-20s ndjson %-7s threads=%zu: %zu records, "
-                    "%zu matches ... %s\n",
-                    spec.name, multi::fused_backend_name(backend).data(),
-                    threads, result.records, result.matches,
-                    stream_ok ? "ok" : "MISMATCH");
-                if (!stream_ok) {
-                    ++failures;
-                }
+        for (std::size_t threads :
+             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+            stream::StreamOptions options;
+            options.threads = threads;
+            multi::MultiStreamExecutor executor(
+                multi::MultiQuery::compile(texts), options);
+            multi::CollectingMultiStreamSink sink;
+            stream::StreamResult result =
+                executor.run_records(stream_input, records, sink);
+            bool stream_ok = result.ok() && sink.matches() == oracle;
+            std::printf(
+                "smoke: %-20s ndjson threads=%zu: %zu records, %zu matches "
+                "... %s\n",
+                spec.name, threads, result.records, result.matches,
+                stream_ok ? "ok" : "MISMATCH");
+            if (!stream_ok) {
+                ++failures;
             }
         }
     }
     if (failures == 0) {
         std::printf("smoke: fused execution matches independent runs for "
-                    "every scenario and backend\n");
+                    "every scenario\n");
     }
     return failures == 0 ? 0 : 1;
 }
@@ -570,24 +524,12 @@ int main(int argc, char** argv)
     std::size_t repeats = 5;
     bool smoke = false;
     bool scale = false;
-    bool restricted = false;
-    multi::FusedBackend backend = multi::FusedBackend::kAuto;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--smoke") {
             smoke = true;
         } else if (arg == "--scale") {
             scale = true;
-        } else if (arg.rfind("--fused=", 0) == 0) {
-            auto parsed = multi::parse_fused_backend(
-                arg.c_str() + std::strlen("--fused="));
-            if (!parsed) {
-                std::fprintf(stderr, "unknown fused backend '%s'\n",
-                             arg.c_str());
-                return 2;
-            }
-            backend = *parsed;
-            restricted = backend != multi::FusedBackend::kAuto;
         } else if (arg == "--mb" && i + 1 < argc) {
             target_mb = static_cast<std::size_t>(
                 std::strtoull(argv[++i], nullptr, 10));
@@ -597,13 +539,12 @@ int main(int argc, char** argv)
         } else {
             std::fprintf(stderr,
                          "usage: bench_multiquery [--mb N] [--repeat N] "
-                         "[--simd=LEVEL] [--scale] | --smoke "
-                         "[--fused=MODE]\n");
+                         "[--simd=LEVEL] [--scale] | --smoke\n");
             return 2;
         }
     }
     if (smoke) {
-        return run_smoke(backend, restricted);
+        return run_smoke();
     }
     const char* env_mb = std::getenv("DESCEND_BENCH_MB");
     if (env_mb != nullptr && *env_mb != '\0') {

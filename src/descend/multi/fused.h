@@ -1,40 +1,43 @@
 /**
  * @file
- * The fused multi-query engine interface and its backends.
+ * The fused multi-query engine: a whole query set in one document pass.
  *
- * Two backends execute a compiled query set in one document pass:
+ * QuerySetCompiler (product_query.h) lowers the deduplicated set to ONE
+ * product automaton, and the engine advances a single depth stack over
+ * it: one shared-alphabet label resolution and one transition per
+ * structural event, skips decided by precomputed per-state bits, matches
+ * fanned out through subscriber bitsets. O(1) automaton work per event
+ * regardless of N — the engine that scales to 1k+ subscriptions. Filter
+ * selectors compile as wildcard arcs; each filter-bearing subscriber's
+ * predicate runs when the product reports a candidate.
  *
- *  - `lanes` (multi_engine.h): N independent depth-stack simulations off
- *    one classification pass; skips by unanimous consensus. O(N) automaton
- *    work per structural event, but never fails to compile.
- *  - `product` (product_engine.h): ONE depth stack over the set-compiled
- *    product automaton (product_query.h); skips decided by a precomputed
- *    per-state bit, matches fanned out through subscriber bitsets. O(1)
- *    automaton work per event — the backend that scales to 1k+
- *    subscriptions — but subset construction is capped, so adversarial
- *    sets (many descendants × wildcards) can exceed the state budget.
- *    Filter selectors compile as wildcard arcs; each filter-bearing
- *    subscriber's predicate runs when the product reports a candidate.
+ * Subset construction is capped (max_states): adversarial sets (many
+ * descendants × wildcards, paper Section 3.1) can exceed it. The engine
+ * then bisects the distinct queries, in first-occurrence order, into
+ * *parts* that each compile under the cap, and runs the parts back to
+ * back over the same view. Every part's accept sets index the whole set's
+ * distinct ids, so fan-out uses the same owner lists. A set that fits is
+ * one part; a single query whose product alone exceeds the cap is a
+ * LimitError.
  *
- * `auto` resolves the tradeoff: compile the product, fall back to lanes
- * only when the cap trips. Both backends report through MultiSink with input
- * query indexing (duplicates deduplicated at compile time each receive
- * their own callbacks) and enforce per-query match limits exactly as N
- * independent runs would.
+ * Matches are reported through MultiSink with input query indexing
+ * (duplicates deduplicated at compile time each receive their own
+ * callbacks), and per-query match limits hold exactly as N independent
+ * runs would.
  */
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "descend/engine/api.h"
 #include "descend/engine/padded_string.h"
 #include "descend/multi/multi_query.h"
+#include "descend/multi/product_query.h"
 #include "descend/obs/run_stats.h"
+#include "descend/simd/dispatch.h"
 
 namespace descend::multi {
 
@@ -103,20 +106,30 @@ private:
 };
 
 /**
- * A fused multi-query engine: executes its whole compiled set in one pass
- * over a document. Const run paths touch no mutable engine state — one
- * instance serves concurrent runs (the stream executor shares one).
+ * The fused multi-query engine: executes its whole compiled set in one pass
+ * over a document (one pass per part when the set was split). Const run
+ * paths touch no mutable engine state — one instance serves concurrent
+ * runs (the stream executor shares one).
  *
  * Status semantics: the document is a single byte stream, so the run has a
  * single EngineStatus — malformed input fails the set as a whole, and a
  * per-query limit violation (EngineLimits::max_match_count applies per
  * input query, mirroring N independent runs) fails the run at that offset.
+ * A split run buffers its matches: its status is the failure at the
+ * smallest offset across parts (a deadline or cancellation stops it at
+ * once), and no match past that offset is delivered.
  */
 class FusedEngine {
 public:
-    virtual ~FusedEngine() = default;
+    /** Compiles @p queries into product parts of at most @p max_states
+     *  states each. @throws LimitError when one query alone exceeds it. */
+    explicit FusedEngine(MultiQuery queries, EngineOptions options = {},
+                         int max_states = 1 << 15);
+    /** Out of line, so owners do not inline the teardown of the set and
+     *  its automata. */
+    ~FusedEngine();
 
-    virtual std::string name() const = 0;
+    std::string name() const;
 
     EngineStatus run(const PaddedString& document, MultiSink& sink) const
     {
@@ -125,46 +138,51 @@ public:
 
     /** Zero-copy slice run (record of an NDJSON stream); offsets are
      *  relative to the slice start, as DescendEngine::run. */
-    virtual EngineStatus run(PaddedView document, MultiSink& sink) const = 0;
+    EngineStatus run(PaddedView document, MultiSink& sink) const;
 
     /** Like run(), additionally reporting what the fused pass did. */
-    virtual RunStats run_with_stats(PaddedView document, MultiSink& sink) const = 0;
+    RunStats run_with_stats(PaddedView document, MultiSink& sink) const
+    {
+        return run_with_stats(document, sink, options_.budget);
+    }
 
     /**
      * Budget-override run: governs this one run by @p budget instead of
      * options().budget — how the multi-stream executor gives each record
      * its own slice of a stream-level budget without rebuilding engines.
      */
-    virtual RunStats run_with_stats(PaddedView document, MultiSink& sink,
-                                    const RunBudget& budget) const = 0;
+    RunStats run_with_stats(PaddedView document, MultiSink& sink,
+                            const RunBudget& budget) const;
 
-    virtual const MultiQuery& query_set() const noexcept = 0;
-    virtual const EngineOptions& options() const noexcept = 0;
+    const MultiQuery& query_set() const noexcept { return queries_; }
+    const EngineOptions& options() const noexcept { return options_; }
+
+    /** The product automata, one per part, in run order; more than one
+     *  only when the whole set exceeds the state cap. */
+    const std::vector<ProductAutomaton>& parts() const noexcept
+    {
+        return parts_;
+    }
+
+private:
+    RunStats dispatch(PaddedView document, MultiSink& sink,
+                      const RunBudget& budget) const;
+    RunStats run_part(const ProductAutomaton& part, PaddedView document,
+                      MultiSink& sink, const RunBudget& budget) const;
+
+    MultiQuery queries_;
+    std::vector<ProductAutomaton> parts_;
+    EngineOptions options_;
+    const simd::Kernels* kernels_;
 };
 
-/** Which fused execution backend to build. */
-enum class FusedBackend {
-    kAuto,     ///< product when it compiles within the state cap, else lanes
-    kLanes,    ///< per-query lanes with consensus skipping
-    kProduct,  ///< set-compiled product automaton
-};
-
-/** Parses a --fused flag value ("auto" | "lanes" | "product"). */
-std::optional<FusedBackend> parse_fused_backend(std::string_view text);
-
-/** The flag spelling of @p backend. */
-std::string_view fused_backend_name(FusedBackend backend) noexcept;
-
-/** Builds the requested backend over an already-compiled set. @throws
- *  LimitError when `product` is requested explicitly and the set exceeds
- *  the product state cap (`auto` falls back to lanes instead). */
-std::unique_ptr<FusedEngine> make_fused_engine(
-    MultiQuery queries, EngineOptions options = {},
-    FusedBackend backend = FusedBackend::kAuto);
+/** Builds the engine over an already-compiled set. @throws LimitError when
+ *  one query alone exceeds the product state cap. */
+std::unique_ptr<FusedEngine> make_fused_engine(MultiQuery queries,
+                                               EngineOptions options = {});
 
 /** Convenience: parse + compile + build. */
 std::unique_ptr<FusedEngine> make_fused_engine(
-    const std::vector<std::string>& query_texts, EngineOptions options = {},
-    FusedBackend backend = FusedBackend::kAuto);
+    const std::vector<std::string>& query_texts, EngineOptions options = {});
 
 }  // namespace descend::multi

@@ -16,9 +16,8 @@ MultiQuery MultiQuery::compile(const std::vector<query::Query>& queries)
     set.sources_ = queries;
     set.input_to_distinct_.reserve(queries.size());
     set.all_root_accepting_ = true;
-    bool head_skip_possible = true;
     // Canonical rendering -> distinct slot: `$.a` and `$['a']` parse to the
-    // same selectors and must share one lane/subscriber slot.
+    // same selectors and must share one subscriber slot.
     std::unordered_map<std::string, std::size_t> canonical_ids;
     for (std::size_t input = 0; input < queries.size(); ++input) {
         const query::Query& query = queries[input];
@@ -30,44 +29,13 @@ MultiQuery MultiQuery::compile(const std::vector<query::Query>& queries)
             continue;
         }
         automaton::CompiledQuery compiled = automaton::CompiledQuery::compile(query);
-        const automaton::Alphabet& own = compiled.alphabet();
-
-        // Shared symbol -> private symbol. Labels and indices the query
-        // does not mention fall through to its OTHER symbol — the same
-        // classification its standalone run performs.
-        std::vector<int> remap(
-            static_cast<std::size_t>(set.shared_.total_symbols()), 0);
-        for (int s = 0; s < set.shared_.num_labels(); ++s) {
-            remap[static_cast<std::size_t>(s)] =
-                own.label_symbol(set.shared_.label(s));
-        }
-        for (int s = set.shared_.num_labels(); s < set.shared_.num_concrete();
-             ++s) {
-            remap[static_cast<std::size_t>(s)] =
-                own.index_symbol(set.shared_.index(s));
-        }
-        remap[static_cast<std::size_t>(set.shared_.other_symbol())] =
-            own.other_symbol();
-
         set.any_counting_ = set.any_counting_ || compiled.has_indices();
         set.all_root_accepting_ =
             set.all_root_accepting_ && compiled.root_accepting();
-        if (head_skip_possible) {
-            const std::optional<std::string>& label = compiled.head_skip_label();
-            if (!label.has_value() ||
-                (set.common_head_skip_label_.has_value() &&
-                 *set.common_head_skip_label_ != *label)) {
-                head_skip_possible = false;
-                set.common_head_skip_label_.reset();
-            } else {
-                set.common_head_skip_label_ = *label;
-            }
-        }
 
         set.input_to_distinct_.push_back(set.distinct_.size());
         set.owners_.push_back({input});
         set.distinct_.push_back(std::move(compiled));
-        set.remap_.push_back(std::move(remap));
     }
     return set;
 }

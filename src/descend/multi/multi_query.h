@@ -3,27 +3,24 @@
  * A compiled JSONPath query *set* for fused single-pass execution.
  *
  * The set shares one union Alphabet (Alphabet::from_queries) across every
- * label and index the queries mention, while each query keeps its own
- * minimal CompiledQuery automaton. At runtime a structural event's label
- * is resolved against the shared alphabet exactly once; a per-query remap
- * table then translates the shared symbol into each automaton's private
- * symbol space in O(1) — labels absent from a query collapse to that
- * query's OTHER symbol, exactly as its standalone run would classify them.
+ * label and index the queries mention: at runtime a structural event's
+ * label is resolved against it exactly once, and the product automaton
+ * (product_query.h) transitions over its symbols. Each query also keeps
+ * its own minimal CompiledQuery, whose properties (filters, index
+ * selectors, root acceptance) decide how the set runs.
  *
  * Duplicate queries are deduplicated at compile time: every input query is
  * canonicalized (parse → Query::to_string, so `$.a` and `$['a']` coincide)
- * and identical queries share one *distinct* compiled automaton. Execution
- * backends simulate distinct queries only and fan results out to the
+ * and identical queries share one *distinct* compiled automaton. The
+ * product subscribes distinct queries only and fans results out to the
  * owning input indices on report, so a 100×-duplicated subscription costs
- * one lane, not a hundred. The input indexing (size(), query(i), remap(i))
+ * one subscriber bit, not a hundred. The input indexing (size(), query(i))
  * is preserved — duplicates resolve to their shared distinct artifact.
  */
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "descend/automaton/compiled.h"
@@ -77,37 +74,12 @@ public:
      *  and diagnostics; duplicates keep their own entry). */
     const query::Query& source(std::size_t i) const { return sources_[i]; }
 
-    /** Translates a shared-alphabet symbol into input query @p i's private
-     *  alphabet (its OTHER symbol when the label/index is absent there). */
-    int remap(std::size_t i, int shared_symbol) const
-    {
-        return remap_distinct(input_to_distinct_[i], shared_symbol);
-    }
-
-    /** Translates a shared-alphabet symbol into distinct query @p d's
-     *  private alphabet. */
-    int remap_distinct(std::size_t d, int shared_symbol) const
-    {
-        return remap_[d][static_cast<std::size_t>(shared_symbol)];
-    }
-
     /** True when any query uses index selectors (the fused run then
      *  tracks array-entry counters for the set). */
     bool any_counting() const noexcept { return any_counting_; }
 
     /** True when every query is exactly `$`. */
     bool all_root_accepting() const noexcept { return all_root_accepting_; }
-
-    /**
-     * The head-skip label shared by the *entire* set: present iff every
-     * query head-skips on the same label. Only then can the fused run use
-     * the label-search pipeline — a single disagreeing query would need
-     * the structural events head-skipping never produces.
-     */
-    const std::optional<std::string>& common_head_skip_label() const noexcept
-    {
-        return common_head_skip_label_;
-    }
 
 private:
     MultiQuery() = default;
@@ -117,15 +89,12 @@ private:
     std::vector<query::Query> sources_;
     /** Distinct compiled automata, in first-occurrence order. */
     std::vector<automaton::CompiledQuery> distinct_;
-    /** remap_[distinct][shared_symbol] -> that query's private symbol. */
-    std::vector<std::vector<int>> remap_;
     /** distinct -> owning input indices (ascending). */
     std::vector<std::vector<std::size_t>> owners_;
     /** input -> distinct. */
     std::vector<std::size_t> input_to_distinct_;
     bool any_counting_ = false;
     bool all_root_accepting_ = false;
-    std::optional<std::string> common_head_skip_label_;
 };
 
 }  // namespace descend::multi

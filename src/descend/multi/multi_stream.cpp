@@ -95,6 +95,13 @@ void lower_floor(std::atomic<std::size_t>& floor, std::size_t candidate)
 
 }  // namespace
 
+MultiStreamExecutor::MultiStreamExecutor(MultiQuery queries,
+                                         stream::StreamOptions options)
+    : engine_(make_fused_engine(std::move(queries), options.engine)),
+      options_(options)
+{
+}
+
 stream::StreamResult MultiStreamExecutor::run(PaddedView input,
                                               MultiStreamSink& sink) const
 {
@@ -157,8 +164,7 @@ stream::StreamResult MultiStreamExecutor::run_records(
         // One collector for every record (and scalar retry) this worker
         // runs.
         RecordCollector collector(num_queries);
-        // Scalar-tier fused engine for kRetryScalar, built on first use
-        // (same backend selection as the primary engine).
+        // Scalar-tier fused engine for kRetryScalar, built on first use.
         std::unique_ptr<FusedEngine> scalar_engine;
         for (;;) {
             std::size_t batch = next_batch.fetch_add(1, std::memory_order_relaxed);
@@ -234,8 +240,7 @@ stream::StreamResult MultiStreamExecutor::run_records(
                             sources.push_back(engine_->query_set().source(q));
                         }
                         scalar_engine = make_fused_engine(
-                            MultiQuery::compile(sources), scalar_options,
-                            backend_);
+                            MultiQuery::compile(sources), scalar_options);
                     }
                     collector.reset();
                     RunStats scalar_stats =

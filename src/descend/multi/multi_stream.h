@@ -119,28 +119,20 @@ private:
 };
 
 /** Runs a fused query set over NDJSON streams; reusable across streams.
- *  The compiled backend (lanes or product) is built ONCE here and shared
- *  read-only by every worker thread — the whole point of set compilation:
+ *  The fused engine is built ONCE here and shared read-only by every
+ *  worker thread — the whole point of set compilation:
  *  a 1k-query product automaton amortizes across all records and shards. */
 class MultiStreamExecutor {
 public:
     explicit MultiStreamExecutor(MultiQuery queries,
-                                 stream::StreamOptions options = {},
-                                 FusedBackend backend = FusedBackend::kAuto)
-        : engine_(make_fused_engine(std::move(queries), options.engine, backend)),
-          options_(options),
-          backend_(backend)
-    {
-    }
+                                 stream::StreamOptions options = {});
 
     /** Convenience: parse, compile and wrap a query set. */
     static MultiStreamExecutor for_queries(
         const std::vector<std::string>& query_texts,
-        stream::StreamOptions options = {},
-        FusedBackend backend = FusedBackend::kAuto)
+        stream::StreamOptions options = {})
     {
-        return MultiStreamExecutor(MultiQuery::compile(query_texts), options,
-                                   backend);
+        return MultiStreamExecutor(MultiQuery::compile(query_texts), options);
     }
 
     /** Splits @p input into records and runs the set over each. The
@@ -153,13 +145,11 @@ public:
                                      MultiStreamSink& sink) const;
 
     const FusedEngine& engine() const noexcept { return *engine_; }
-    FusedBackend backend() const noexcept { return backend_; }
     const stream::StreamOptions& options() const noexcept { return options_; }
 
 private:
     std::unique_ptr<FusedEngine> engine_;
     stream::StreamOptions options_;
-    FusedBackend backend_ = FusedBackend::kAuto;
 };
 
 }  // namespace descend::multi

@@ -51,10 +51,11 @@ struct RawState {
     int accept_id = 0;
 };
 
-std::vector<TrieNode> build_trie(const MultiQuery& set)
+std::vector<TrieNode> build_trie(const MultiQuery& set, std::size_t first,
+                                 std::size_t last)
 {
     std::vector<TrieNode> trie(1);
-    for (std::size_t d = 0; d < set.num_distinct(); ++d) {
+    for (std::size_t d = first; d < last; ++d) {
         const auto& selectors = set.distinct(d).source().selectors();
         int node = 0;
         for (const query::Selector& selector : selectors) {
@@ -230,9 +231,11 @@ std::vector<int> minimize_blocks(const std::vector<RawState>& states)
 
 }  // namespace
 
-ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states)
+ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states,
+                                           std::size_t first, std::size_t last)
 {
-    std::vector<TrieNode> trie = build_trie(set);
+    std::vector<TrieNode> trie =
+        build_trie(set, first, std::min(last, set.num_distinct()));
     std::vector<NfaRow> rows = build_rows(trie);
 
     // Accept-set interning; id 0 is the empty set so `!= 0` means accepts.
@@ -334,6 +337,7 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
 
     ProductAutomaton out;
     out.num_states_ = num_blocks;
+    out.subset_states_ = static_cast<int>(raw.size());
     out.initial_ = block[0];
     out.fallback_.resize(static_cast<std::size_t>(num_blocks));
     out.accept_id_.resize(static_cast<std::size_t>(num_blocks));
@@ -481,6 +485,27 @@ ProductAutomaton QuerySetCompiler::compile(const MultiQuery& set, int max_states
             out.waiting_symbol_[static_cast<std::size_t>(out.initial_)]);
     }
     return out;
+}
+
+std::vector<ProductAutomaton> QuerySetCompiler::compile_parts(
+    const MultiQuery& set, int max_states)
+{
+    std::vector<ProductAutomaton> parts;
+    // Depth-first bisection keeps the parts in first-occurrence order.
+    auto split = [&](auto& self, std::size_t first, std::size_t last) -> void {
+        try {
+            parts.push_back(compile(set, max_states, first, last));
+        } catch (const LimitError&) {
+            if (last - first == 1) {
+                throw;
+            }
+            const std::size_t mid = first + (last - first) / 2;
+            self(self, first, mid);
+            self(self, mid, last);
+        }
+    };
+    split(split, 0, set.num_distinct());
+    return parts;
 }
 
 }  // namespace descend::multi

@@ -2,11 +2,11 @@
  * @file
  * Set-compiled execution artifact: ONE automaton for the whole query set.
  *
- * The lanes backend (multi_engine.h) simulates N independent automata per
- * structural event — O(N) per event, with skips degrading to unanimous
- * consensus. QuerySetCompiler instead factors the deduplicated query set
- * into a *trie* of shared selector prefixes over the union Alphabet and
- * lowers that trie to a single deterministic product automaton:
+ * N independent automata would each take a transition per structural
+ * event — O(N) per event, with a skip possible only where all of them
+ * agree. QuerySetCompiler instead factors the deduplicated query set into
+ * a *trie* of shared selector prefixes over the union Alphabet and lowers
+ * that trie to a single deterministic product automaton:
  *
  *   - Trie nodes are selector prefixes; edges carry the selector kind
  *     (child label / child wildcard / child index / descendant label /
@@ -17,7 +17,7 @@
  *     prefix. The automaton only surfaces candidates; accept sets holding a
  *     filter-bearing subscriber are marked *gated* (accept_set_gated), and
  *     the engine runs that subscriber's predicate at report time — the
- *     same report-point gate DescendEngine and the lanes backend use.
+ *     same report-point gate DescendEngine uses.
  *   - Descendant recursion is modelled per-node with a companion *hub*
  *     state: a node with descendant edges contributes its hub to every
  *     successor (the "search goes on below" component), and the hub
@@ -35,9 +35,15 @@
  * paper Section 3.3), but computed on the union automaton they become
  * set-level skip decisions: `rejecting` is the precomputed "can anything
  * in the whole set match below" bit, so one child-skip test replaces N
- * lane votes, and `unitary`/`waiting` certify sibling/within skips for
- * every subscriber at once. Per-event cost is O(distinct automaton
- * states) — one transition — instead of O(N) lanes.
+ * per-query votes, and `unitary`/`waiting` certify sibling/within skips
+ * for every subscriber at once. Per-event cost is one transition instead
+ * of N.
+ *
+ * Subset construction is capped (max_states). Descendants followed by
+ * wildcards (paper Section 3.1) double the subsets per wildcard, and the
+ * blowup compounds across queries; compile_parts() then bisects the set
+ * into parts that each fit, which FusedEngine (fused.h) runs back to
+ * back. Every part keeps the whole set's alphabet and distinct ids.
  *
  * Transitions are stored as per-state exception lists over a fallback (the
  * OTHER successor): union alphabets of 1k-query sets have thousands of
@@ -63,6 +69,11 @@ public:
     ProductAutomaton() = default;
 
     int num_states() const noexcept { return num_states_; }
+
+    /** Subset-construction states before minimization: the quantity the
+     *  compiler's max_states caps. */
+    int subset_states() const noexcept { return subset_states_; }
+
     int initial_state() const noexcept { return initial_; }
 
     /** Successor of @p state on @p symbol (shared-alphabet space). */
@@ -140,6 +151,7 @@ private:
     friend class QuerySetCompiler;
 
     int num_states_ = 0;
+    int subset_states_ = 0;
     int initial_ = 0;
     /** CSR exception lists: state s owns [ex_begin_[s], ex_begin_[s+1]). */
     std::vector<std::uint32_t> ex_begin_;
@@ -158,13 +170,25 @@ private:
 class QuerySetCompiler {
 public:
     /**
-     * Lowers the deduplicated set to its product automaton. @p max_states
-     * caps subset construction (the descendant-plus-wildcard blowup of
-     * Section 3.1 compounds across queries); LimitError beyond it — the
-     * `auto` backend then falls back to lanes, which have no such cap.
+     * Lowers distinct queries [@p first, @p last) of the set to their
+     * product automaton; accept sets index the whole set's distinct ids.
+     * @p max_states caps subset construction (the descendant-plus-wildcard
+     * blowup of Section 3.1 compounds across queries): LimitError beyond
+     * it.
      */
     static ProductAutomaton compile(const MultiQuery& set,
-                                    int max_states = 1 << 15);
+                                    int max_states = 1 << 15,
+                                    std::size_t first = 0,
+                                    std::size_t last = SIZE_MAX);
+
+    /**
+     * The whole set as one automaton when it fits @p max_states; else
+     * bisects the distinct queries (first-occurrence order) until every
+     * part fits, and returns the parts in order. @throws LimitError when
+     * a single query alone exceeds the cap.
+     */
+    static std::vector<ProductAutomaton> compile_parts(const MultiQuery& set,
+                                                       int max_states = 1 << 15);
 };
 
 }  // namespace descend::multi

@@ -52,14 +52,15 @@ enum class Counter : std::uint8_t {
     kSiblingSkips,        ///< skip-siblings fast-forwards
     kWithinSkips,         ///< within-element label fast-forwards (§4.5)
     kHeadSkipJumps,       ///< head-skip label occurrences processed
-    // --- fused multi-query execution: skips one lane wanted but another
-    //     vetoed (the region was iterated structurally instead) ---
-    kFusedChildSkipSuppressed,    ///< child skips lost to disagreement
-    kFusedSiblingSkipSuppressed,  ///< sibling skips lost to disagreement
-    kFusedWithinSkipSuppressed,   ///< within-element skips lost to disagreement
-    // --- set-compiled execution (src/descend/multi/product_engine.h; the
-    //     fanout tally also covers the lanes backend's owner expansion) ---
-    kProductStates,        ///< states of the compiled product automaton (gauge)
+    // --- retired: skips one per-query lane wanted but another vetoed.
+    //     Nothing increments them any more (the product automaton decides
+    //     every skip for the whole set), so they always read 0; they stay
+    //     only because report consumers still read them ---
+    kFusedChildSkipSuppressed,    ///< always 0
+    kFusedSiblingSkipSuppressed,  ///< always 0
+    kFusedWithinSkipSuppressed,   ///< always 0
+    // --- set-compiled execution (src/descend/multi/fused.h) ---
+    kProductStates,        ///< product automaton states, summed over parts (gauge)
     kProductSkips,         ///< fast-forwards certified by a product state
     kSubscriberFanout,     ///< per-subscriber match emissions (incl. duplicates)
     // --- label search ---

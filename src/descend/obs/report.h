@@ -14,9 +14,9 @@
  *     "matches": N,
  *     "counters": { "<counter_name>": N, ... },   // registry, enum order
  *     "blocks": {                           // the accounting invariant:
- *       "accounted": N,                     //   accounted == total always
- *       "total": N
- *     },
+ *       "accounted": N,                     //   accounted == total per
+ *       "total": N                          //   pass (a fused set split
+ *     },                                    //   into k parts makes k)
  *     "timings_ns": { "<phase_name>": N, ... }    // nonzero phases only
  *   }
  *

@@ -5,7 +5,7 @@
  * each reported offset into a span and feeds a ProjectionSink.
  *
  * Engines keep reporting offsets — projection is a layer on top, so
- * every backend (single, lanes, product, streaming) gains it without
+ * every engine (single, fused, streaming) gains it without
  * touching the automaton hot loop. The adapter extends spans *as matches
  * arrive*, which keeps the block-mask ring warm across consecutive
  * matches of the same region; batch extension after the run (project_all)

@@ -16,9 +16,7 @@
  * automaton. Line order is preserved — response offsets are per input
  * index, so reordered sets are different request shapes — and a line
  * that does not parse keeps its raw text (the build step then reports
- * the QueryError; failed compilations are never cached). The fused
- * backend participates in the key too: an explicit lanes request must
- * not be served a product entry or vice versa.
+ * the QueryError; failed compilations are never cached).
  *
  * Entries are immutable once built and handed out as
  * shared_ptr<const CachedQuery>: an entry evicted while requests still
@@ -67,9 +65,7 @@ namespace descend::serve {
 struct CachedQuery {
     /** Ready-to-run single-document engine (single-query shapes only). */
     std::unique_ptr<DescendEngine> engine;
-    /** Ready-to-run fused engine (multi-query shapes only): the product
-     *  backend unless the policy pinned lanes or the set tripped the
-     *  product state cap. */
+    /** Ready-to-run fused engine (multi-query shapes only). */
     std::unique_ptr<multi::FusedEngine> multi_engine;
 };
 
@@ -102,13 +98,10 @@ public:
      *
      * `options.limits` participates in the key; the rest of
      * EngineOptions is the server-wide configuration and is assumed
-     * uniform across requests. @p backend selects the fused backend for
-     * kMulti shapes (ignored otherwise).
+     * uniform across requests.
      */
     CachedQueryPtr lookup(RequestMode mode, const std::string& query,
-                          const EngineOptions& options, bool& hit,
-                          multi::FusedBackend backend =
-                              multi::FusedBackend::kAuto);
+                          const EngineOptions& options, bool& hit);
 
     CacheStats stats() const;
 
@@ -127,12 +120,10 @@ private:
     };
 
     static std::string make_key(RequestMode mode, const std::string& query,
-                                const EngineLimits& limits,
-                                multi::FusedBackend backend);
+                                const EngineLimits& limits);
 
     static CachedQueryPtr build(RequestMode mode, const std::string& query,
-                                const EngineOptions& options,
-                                multi::FusedBackend backend);
+                                const EngineOptions& options);
 
     std::size_t shard_capacity_;
     std::vector<std::unique_ptr<Shard>> shards_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,7 @@
 #include "descend/baselines/ski_engine.h"
 #include "descend/baselines/surfer_engine.h"
 #include "descend/descend.h"
-#include "descend/multi/multi_engine.h"
+#include "descend/multi/fused.h"
 #include "descend/stream/stream_executor.h"
 #include "descend/util/budget.h"
 #include "test_helpers.h"
@@ -154,12 +155,10 @@ TEST(GovernanceEngineTest, PreExpiredDeadlineFailsAtOffsetZeroEverywhere)
         EngineOptions options;
         options.simd = level;
         options.budget = expired_budget();
-        multi::MultiDescendEngine fused(
-            multi::MultiQuery::compile(
-                std::vector<std::string>{"$..b", "$.*"}),
-            options);
+        std::unique_ptr<multi::FusedEngine> fused = multi::make_fused_engine(
+            std::vector<std::string>{"$..b", "$.*"}, options);
         multi::CollectingMultiSink sink(2);
-        EXPECT_EQ(fused.run(padded, sink), expected)
+        EXPECT_EQ(fused->run(padded, sink), expected)
             << "multi[" << simd::level_name(level) << "]";
     }
 }

@@ -1,14 +1,14 @@
 /**
  * @file
- * Fused multi-query execution: every fused backend's per-query match sets
+ * Fused multi-query execution: the fused engine's per-query match sets
  * must be bit-identical to N independent single-query runs — for every
- * engine configuration, including query mixes whose lanes disagree about
- * the skippability of a subtree (one lane's irrelevant region is another's
- * match territory). Both backends are exercised: the per-query lanes
- * fallback and the set-compiled product automaton (one state per distinct
- * active-set, subscriber bitsets on accepting states). The suite is
- * registered in DESCEND_TIERED_TESTS, so ctest re-runs it with every
- * dispatch tier forced via DESCEND_SIMD_LEVEL.
+ * engine configuration, including query mixes that disagree about the
+ * skippability of a subtree (one query's irrelevant region is another's
+ * match territory). Every parity check runs two legs: the whole set as
+ * one product automaton, and the set split into parts by a small state
+ * cap (the path sets past the default cap take). The suite is registered
+ * in DESCEND_TIERED_TESTS, so ctest re-runs it with every dispatch tier
+ * forced via DESCEND_SIMD_LEVEL.
  */
 #include <gtest/gtest.h>
 
@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "descend/multi/fused.h"
-#include "descend/multi/multi_engine.h"
 #include "descend/multi/multi_stream.h"
-#include "descend/multi/product_engine.h"
 #include "descend/util/errors.h"
 #include "descend/workloads/datasets.h"
 #include "test_helpers.h"
@@ -32,24 +30,14 @@ using multi::CollectingMultiSink;
 using multi::CollectingMultiStreamSink;
 using multi::CountingMultiSink;
 using multi::CountingMultiStreamSink;
-using multi::FusedBackend;
-using multi::MultiDescendEngine;
+using multi::FusedEngine;
 using multi::MultiQuery;
 using multi::MultiStreamExecutor;
-using multi::ProductDescendEngine;
+using multi::QuerySetCompiler;
 using testing::describe;
 using testing::engine_configurations;
-
-/** Both fused backends; every parity suite runs under each. */
-std::vector<FusedBackend> fused_backends()
-{
-    return {FusedBackend::kLanes, FusedBackend::kProduct};
-}
-
-std::string backend_label(FusedBackend backend)
-{
-    return std::string(multi::fused_backend_name(backend));
-}
+using testing::fused_legs;
+using testing::leg_label;
 
 /** N independent single-query runs with the same options — the oracle. */
 std::vector<std::vector<std::size_t>> independent_offsets(
@@ -67,7 +55,7 @@ std::vector<std::vector<std::size_t>> independent_offsets(
     return all;
 }
 
-/** Fused == N independent, for every engine configuration and backend. */
+/** Fused == N independent, for every engine configuration and leg. */
 void expect_fused_matches_independent(const std::vector<std::string>& queries,
                                       const std::string& document)
 {
@@ -76,10 +64,8 @@ void expect_fused_matches_independent(const std::vector<std::string>& queries,
         SCOPED_TRACE("configuration: " + describe(options));
         std::vector<std::vector<std::size_t>> expected =
             independent_offsets(queries, padded, options);
-        for (FusedBackend backend : fused_backends()) {
-            SCOPED_TRACE("backend: " + backend_label(backend));
-            std::unique_ptr<multi::FusedEngine> fused =
-                multi::make_fused_engine(queries, options, backend);
+        for (const auto& fused : fused_legs(queries, options)) {
+            SCOPED_TRACE(leg_label(*fused));
             CollectingMultiSink sink(queries.size());
             ASSERT_EQ(fused->run(padded, sink), EngineStatus{});
             for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -92,15 +78,18 @@ void expect_fused_matches_independent(const std::vector<std::string>& queries,
 
 // ------------------------------------------------------------- compilation
 
-TEST(MultiQueryCompile, SharedAlphabetAndRemap)
+TEST(MultiQueryCompile, SharedAlphabet)
 {
     MultiQuery set = MultiQuery::compile(
         std::vector<std::string>{"$.a.b", "$..b", "$.c.*"});
     EXPECT_EQ(set.size(), 3u);
-    // The union alphabet knows every label; each lane's remap sends labels
-    // it never mentions to its private OTHER symbol (and symbol identity is
-    // preserved for labels it does mention — checked indirectly by the
-    // match-parity suites below).
+    // The union alphabet knows every label the set mentions.
+    for (const char* label : {"a", "b", "c"}) {
+        EXPECT_NE(set.alphabet().label_symbol(label),
+                  set.alphabet().other_symbol())
+            << label;
+    }
+    EXPECT_EQ(set.alphabet().label_symbol("zzz"), set.alphabet().other_symbol());
     EXPECT_FALSE(set.any_counting());
     EXPECT_FALSE(set.all_root_accepting());
 }
@@ -110,21 +99,20 @@ TEST(MultiQueryCompile, EmptySetIsAnError)
     EXPECT_ANY_THROW(MultiQuery::compile(std::vector<std::string>{}));
 }
 
-TEST(MultiQueryCompile, CommonHeadSkipLabelRequiresUnanimity)
+TEST(ProductAutomaton, CommonHeadSkipLabelRequiresUnanimity)
 {
-    MultiQuery same = MultiQuery::compile(
-        std::vector<std::string>{"$..name", "$..name.first"});
-    ASSERT_TRUE(same.common_head_skip_label().has_value());
-    EXPECT_EQ(*same.common_head_skip_label(), "name");
+    auto head_label = [](std::vector<std::string> queries) {
+        return QuerySetCompiler::compile(MultiQuery::compile(queries))
+            .head_skip_label();
+    };
+    std::optional<std::string> same = head_label({"$..name", "$..name.first"});
+    ASSERT_TRUE(same.has_value());
+    EXPECT_EQ(*same, "name");
 
-    // Differing head labels — or a lane that cannot head-skip at all —
+    // Differing head labels — or a query that cannot head-skip at all —
     // forfeit the label-search pipeline for the whole set.
-    MultiQuery differ = MultiQuery::compile(
-        std::vector<std::string>{"$..name", "$..title"});
-    EXPECT_FALSE(differ.common_head_skip_label().has_value());
-    MultiQuery mixed = MultiQuery::compile(
-        std::vector<std::string>{"$..name", "$.a.b"});
-    EXPECT_FALSE(mixed.common_head_skip_label().has_value());
+    EXPECT_FALSE(head_label({"$..name", "$..title"}).has_value());
+    EXPECT_FALSE(head_label({"$..name", "$.a.b"}).has_value());
 }
 
 // ------------------------------------------------------------------ dedup
@@ -166,10 +154,8 @@ TEST(MultiEngine, HundredFoldDuplicatedSetReplicatesResults)
     PaddedString padded(document);
     std::vector<std::vector<std::size_t>> expected = independent_offsets(
         {"$..id", "$.meta.id"}, padded, EngineOptions{});
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        std::unique_ptr<multi::FusedEngine> fused =
-            multi::make_fused_engine(queries, {}, backend);
+    for (const auto& fused : fused_legs(queries)) {
+        SCOPED_TRACE(leg_label(*fused));
         CollectingMultiSink sink(queries.size());
         ASSERT_EQ(fused->run(padded, sink), EngineStatus{});
         for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -190,14 +176,10 @@ TEST(MultiEngine, DuplicatesTripTheMatchLimitLikeTheOriginal)
     OffsetSink single_sink;
     EngineStatus expected = single.run(padded, single_sink);
     ASSERT_EQ(expected.code, StatusCode::kMatchLimit);
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        std::unique_ptr<multi::FusedEngine> fused = multi::make_fused_engine(
-            std::vector<std::string>{"$..a", "$..a", "$..a"}, options,
-            backend);
-        CollectingMultiSink sink(3);
-        EXPECT_EQ(fused->run(padded, sink), expected);
-    }
+    std::unique_ptr<FusedEngine> fused = multi::make_fused_engine(
+        std::vector<std::string>{"$..a", "$..a", "$..a"}, options);
+    CollectingMultiSink sink(3);
+    EXPECT_EQ(fused->run(padded, sink), expected);
 }
 
 // -------------------------------------------------------- product automaton
@@ -211,22 +193,26 @@ TEST(ProductAutomaton, SharedPrefixCollapsesToOneStatePath)
     for (int i = 0; i < 32; ++i) {
         queries.push_back("$.a.b.c.f" + std::to_string(i));
     }
-    ProductDescendEngine engine(MultiQuery::compile(queries));
-    EXPECT_GE(engine.automaton().num_states(), 32u);
-    EXPECT_LE(engine.automaton().num_states(), 40u);
+    FusedEngine engine(MultiQuery::compile(queries));
+    ASSERT_EQ(engine.parts().size(), 1u);
+    EXPECT_GE(engine.parts()[0].num_states(), 32);
+    EXPECT_LE(engine.parts()[0].num_states(), 40);
 }
 
-TEST(ProductAutomaton, StateCapTripsLimitErrorAndAutoFallsBack)
+TEST(ProductAutomaton, StateCapSplitsTheSetAndRefusesASingleQuery)
 {
     MultiQuery set = MultiQuery::compile(
         std::vector<std::string>{"$..a..b", "$.c.*.d"});
-    EXPECT_THROW(ProductDescendEngine(set, EngineOptions{}, 2), LimitError);
-    // kAuto prefers the product backend whenever the set compiles under
-    // the default cap (the fallback path is the same make_fused_engine
-    // catch that this explicit cap exercises).
-    std::unique_ptr<multi::FusedEngine> engine = multi::make_fused_engine(
-        std::vector<std::string>{"$..a..b", "$.c.*.d"});
-    EXPECT_NE(engine->name().find("product"), std::string::npos);
+    EXPECT_THROW(QuerySetCompiler::compile(set, 2), LimitError);
+    // A cap the whole set misses but each query meets: one part per query.
+    const int cap = testing::split_state_cap(set);
+    EXPECT_THROW(QuerySetCompiler::compile(set, cap), LimitError);
+    FusedEngine split(set, EngineOptions{}, cap);
+    ASSERT_EQ(split.parts().size(), 2u);
+    EXPECT_EQ(split.name().rfind("descend-product-", 0), 0u) << split.name();
+    // A single query past the cap cannot be split any further.
+    EXPECT_THROW(FusedEngine(set, EngineOptions{}, 2), LimitError);
+    EXPECT_EQ(FusedEngine(set).parts().size(), 1u);
 }
 
 TEST(ProductAutomaton, SubscriberSetsFanOutToEveryOwner)
@@ -258,11 +244,11 @@ TEST(MultiEngine, SingleQuerySetDegeneratesToTheEngine)
 
 TEST(MultiEngine, SkippabilityDisagreeingDescendantMixes)
 {
-    // The subtree under "payload" is skippable for the child-path lanes
-    // (their automata are in trash there) but descendant lanes must walk
-    // it; conversely "meta" matches the child lanes and is junk to the
-    // descendant ones. No consensus skip is unanimous — every fast-forward
-    // decision is exercised in both the taken and suppressed direction.
+    // The subtree under "payload" is skippable for the child-path queries
+    // (their automata are in trash there) but descendant queries must walk
+    // it; conversely "meta" matches the child queries and is junk to the
+    // descendant ones. Split into parts, each part takes the skips its own
+    // queries allow — every fast-forward is exercised both ways.
     std::string document = R"({
       "meta": {"id": 1, "name": "x"},
       "payload": {
@@ -279,20 +265,20 @@ TEST(MultiEngine, SkippabilityDisagreeingDescendantMixes)
         document);
 }
 
-TEST(MultiEngine, TrashedLanesDoNotVetoSkips)
+TEST(MultiEngine, DeadQueriesDoNotBlockSkips)
 {
-    // Lanes that can never match again ("$.absent.x") must agree to every
-    // skip; the live lane's results are unaffected and the dead lanes stay
+    // Queries that can never match again ("$.absent.x") must allow every
+    // skip; the live query's results are unaffected and the dead ones stay
     // empty.
     std::string document = R"({"a": {"big": [[[1, 2], 3], {"x": 4}]}, "b": 5})";
     expect_fused_matches_independent({"$.absent.x", "$.b", "$..x", "$.zzz.*"},
                                      document);
 }
 
-TEST(MultiEngine, IndexSelectorsAcrossLanes)
+TEST(MultiEngine, IndexSelectorsAcrossQueries)
 {
-    // One counting lane forces array-entry tracking for the set; the
-    // non-counting lanes must be unaffected.
+    // One counting query forces array-entry tracking for the set; the
+    // non-counting queries must be unaffected.
     std::string document =
         R"({"items": [{"v": 1}, {"v": 2}, {"v": 3}], "v": [10, 20]})";
     expect_fused_matches_independent({"$.items[1].v", "$..v", "$.v[0]"},
@@ -301,7 +287,7 @@ TEST(MultiEngine, IndexSelectorsAcrossLanes)
                     .any_counting());
 }
 
-TEST(MultiQueryCompile, SpellingVariantsDedupToOneLane)
+TEST(MultiQueryCompile, SpellingVariantsDedupToOneSlot)
 {
     // Canonicalization keys dedup: dot form, single- and double-quoted
     // bracket forms of the same path share one distinct slot.
@@ -324,10 +310,10 @@ TEST(MultiQueryCompile, SlicesMarkTheSetCounting)
             .any_counting());
 }
 
-TEST(MultiEngine, ExtendedSelectorsAcrossBackends)
+TEST(MultiEngine, ExtendedSelectorsAcrossLegs)
 {
     // Slices, unions, spelling variants and plain indices fused together;
-    // both backends must reproduce N independent runs exactly.
+    // both legs must reproduce N independent runs exactly.
     std::string document = R"({
         "a": [{"x": 1}, {"x": 2}, {"x": 3}, {"x": 4}],
         "c": {"a": [10, 20, 30]},
@@ -336,15 +322,15 @@ TEST(MultiEngine, ExtendedSelectorsAcrossBackends)
     expect_fused_matches_independent(
         {"$.a[1:3]", "$['a','c']", "$.a[0]", "$..x", "$['a'][2].x"}, document);
     // Overlapping slice/index guards over one shared alphabet: the union
-    // boundary set refines each lane's own cells.
+    // boundary set refines each query's own cells.
     expect_fused_matches_independent(
         {"$.a[0:2]", "$.a[1:4]", "$.a[2]", "$.a[1:]"}, document);
 }
 
-TEST(MultiEngine, FilterSetsRunOnTheProductBackend)
+TEST(MultiEngine, FilterSetsRunOnTheProduct)
 {
     // Filters lower to wildcard arcs in the product automaton and are
-    // gated at report time; product and lanes must both reproduce N
+    // gated at report time; both legs must reproduce N
     // independent runs in every configuration on every tier.
     std::string document = R"({
         "a": [{"x": 1}, {"x": 3, "y": 0}, {"y": "s"}, {"x": 9}, 4, [5]],
@@ -369,8 +355,8 @@ TEST(MultiEngine, FilterInsideAHeadSkippedSet)
         "p": {"a": [{"x": 3}, {"y": "s"}, {"x": 1, "y": "t"}]},
         "q": [{"a": [{"x": 1, "y": "s"}]}, {"a": {"k": {"x": 5}}}]
     })";
-    ProductDescendEngine engine(MultiQuery::compile(queries));
-    ASSERT_TRUE(engine.automaton().head_skip_label().has_value());
+    FusedEngine engine(MultiQuery::compile(queries));
+    ASSERT_TRUE(engine.parts()[0].head_skip_label().has_value());
     expect_fused_matches_independent(queries, document);
 }
 
@@ -393,10 +379,8 @@ TEST(MultiEngine, RejectedFilterCandidatesDoNotConsumeTheMatchLimit)
         OffsetSink single_sink;
         EngineStatus expected = single.run(padded, single_sink);
         EXPECT_EQ(expected.ok(), limit == 2);
-        for (FusedBackend backend : fused_backends()) {
-            SCOPED_TRACE("backend: " + backend_label(backend));
-            std::unique_ptr<multi::FusedEngine> fused =
-                multi::make_fused_engine(queries, options, backend);
+        for (const auto& fused : fused_legs(queries, options)) {
+            SCOPED_TRACE(leg_label(*fused));
             CollectingMultiSink sink(queries.size());
             EXPECT_EQ(fused->run(padded, sink), expected);
             if (expected.ok()) {
@@ -407,13 +391,13 @@ TEST(MultiEngine, RejectedFilterCandidatesDoNotConsumeTheMatchLimit)
     }
 }
 
-TEST(MultiEngine, AutoResolvesFilterSetsToTheProduct)
+TEST(MultiEngine, FilterSetsCompileAsOneProduct)
 {
-    std::unique_ptr<multi::FusedEngine> engine = multi::make_fused_engine(
-        std::vector<std::string>{"$.a[?(@.x>2)]", "$..x", "$.b[?(@.y)]"}, {},
-        FusedBackend::kAuto);
+    std::unique_ptr<FusedEngine> engine = multi::make_fused_engine(
+        std::vector<std::string>{"$.a[?(@.x>2)]", "$..x", "$.b[?(@.y)]"});
     EXPECT_EQ(engine->name().rfind("descend-product-", 0), 0u)
         << engine->name();
+    EXPECT_EQ(engine->parts().size(), 1u);
 }
 
 TEST(MultiEngine, GeneratedDatasetMixes)
@@ -436,10 +420,8 @@ TEST(MultiEngine, CountingSinkAgreesWithCollectingSink)
     std::vector<std::string> queries{"$..b", "$.a.*"};
     std::string document = R"({"a": {"b": 1, "c": 2}, "b": 3})";
     PaddedString padded(document);
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        std::unique_ptr<multi::FusedEngine> fused =
-            multi::make_fused_engine(queries, {}, backend);
+    for (const auto& fused : fused_legs(queries)) {
+        SCOPED_TRACE(leg_label(*fused));
         CollectingMultiSink collect(queries.size());
         CountingMultiSink count(queries.size());
         ASSERT_EQ(fused->run(padded, collect), EngineStatus{});
@@ -455,9 +437,9 @@ TEST(MultiEngine, CountingSinkAgreesWithCollectingSink)
 
 TEST(MultiEngine, PerLaneMatchLimitFailsTheRun)
 {
-    // EngineLimits::max_match_count is enforced per lane, mirroring N
-    // independent runs: the lane with three matches trips a limit of two
-    // at its third match's offset even though the other lane is under it.
+    // EngineLimits::max_match_count is enforced per query, mirroring N
+    // independent runs: the query with three matches trips a limit of two
+    // at its third match's offset even though the other query is under it.
     std::string document = R"({"a": 1, "b": {"a": 2}, "c": {"a": 3}})";
     PaddedString padded(document);
     EngineOptions options;
@@ -466,10 +448,9 @@ TEST(MultiEngine, PerLaneMatchLimitFailsTheRun)
     OffsetSink single_sink;
     EngineStatus expected = single.run(padded, single_sink);
     ASSERT_EQ(expected.code, StatusCode::kMatchLimit);
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        std::unique_ptr<multi::FusedEngine> fused = multi::make_fused_engine(
-            std::vector<std::string>{"$..a", "$.a"}, options, backend);
+    for (const auto& fused :
+         fused_legs(std::vector<std::string>{"$..a", "$.a"}, options)) {
+        SCOPED_TRACE(leg_label(*fused));
         CollectingMultiSink sink(2);
         EXPECT_EQ(fused->run(padded, sink), expected);
     }
@@ -478,12 +459,98 @@ TEST(MultiEngine, PerLaneMatchLimitFailsTheRun)
 TEST(MultiEngine, MalformedDocumentFailsTheSet)
 {
     PaddedString padded(R"({"a": {"b": 1})");  // truncated
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        std::unique_ptr<multi::FusedEngine> fused = multi::make_fused_engine(
-            std::vector<std::string>{"$.a.b", "$..b"}, {}, backend);
+    for (const auto& fused :
+         fused_legs(std::vector<std::string>{"$.a.b", "$..b"})) {
+        SCOPED_TRACE(leg_label(*fused));
         CollectingMultiSink sink(2);
         EXPECT_FALSE(fused->run(padded, sink).ok());
+    }
+}
+
+// -------------------------------------------------------------- state cap
+
+/** `$..label` followed by @p wildcards child wildcards: the descendant-plus-
+ *  wildcard shape whose DFA doubles with every wildcard (Section 3.1). */
+std::string descendant_wildcards(const std::string& label, int wildcards)
+{
+    std::string text = "$.." + label;
+    for (int i = 0; i < wildcards; ++i) {
+        text += ".*";
+    }
+    return text;
+}
+
+/** Objects and arrays nested @p depth deep, `a`, `b` and `c` members at
+ *  every level, branching on every other level. */
+std::string nested_document(int depth, int variant = 0)
+{
+    if (depth == 0) {
+        return std::to_string(variant);
+    }
+    static const char* const kKeys[] = {"a", "b", "c"};
+    const std::string deeper = nested_document(depth - 1, variant + 1);
+    if ((depth + variant) % 3 == 0) {
+        return "[" + deeper + ", " + std::to_string(depth) + "]";
+    }
+    const std::string second =
+        depth % 2 == 0 ? nested_document(depth - 1, variant + 2) : "0";
+    return std::string("{\"") + kKeys[variant % 3] + "\": " + deeper + ", \"" +
+           kKeys[(variant + 1) % 3] + "\": " + second + "}";
+}
+
+TEST(StateCap, LargestSingleQueryCompilesAsOnePart)
+{
+    // Twelve wildcards is the most the single-query DFA accepts (8192
+    // states); the product of that query alone fits the default cap.
+    EXPECT_THROW(MultiQuery::compile(std::vector<std::string>{
+                     descendant_wildcards("a", 13)}),
+                 LimitError);
+    FusedEngine engine(MultiQuery::compile(
+        std::vector<std::string>{descendant_wildcards("a", 12)}));
+    EXPECT_EQ(engine.parts().size(), 1u);
+}
+
+TEST(StateCap, SetPastTheCapRunsAsPartsMatchingIndependentRuns)
+{
+    const std::vector<std::string> queries{descendant_wildcards("a", 10),
+                                           descendant_wildcards("b", 10)};
+    MultiQuery set = MultiQuery::compile(queries);
+    EXPECT_THROW(QuerySetCompiler::compile(set), LimitError);
+    EXPECT_GE(FusedEngine(set).parts().size(), 2u);
+    const std::string document = nested_document(16);
+    PaddedString padded(document);
+    for (const std::vector<std::size_t>& offsets :
+         independent_offsets(queries, padded, EngineOptions{})) {
+        EXPECT_FALSE(offsets.empty()) << "the document must exercise both";
+    }
+    expect_fused_matches_independent(queries, document);
+}
+
+TEST(StateCap, EarliestFailureAcrossPartsWinsAndCutsLaterMatches)
+{
+    // `$..x` runs first and trips a limit of two at its third match;
+    // `$..y` trips earlier, between the first and second `x`. The run
+    // fails where `$..y` does and delivers no match past that offset.
+    const std::vector<std::string> queries{"$..x", "$..y"};
+    PaddedString padded(
+        R"([{"x": 1}, {"y": 1}, {"y": 2}, {"y": 3}, {"x": 2}, {"x": 3}])");
+    EngineOptions options;
+    options.limits.max_match_count = 2;
+    DescendEngine y_alone(automaton::CompiledQuery::compile("$..y"), options);
+    OffsetSink y_sink;
+    const EngineStatus expected = y_alone.run(padded, y_sink);
+    ASSERT_EQ(expected.code, StatusCode::kMatchLimit);
+    std::vector<std::size_t> x_all =
+        independent_offsets({"$..x"}, padded, EngineOptions{})[0];
+    ASSERT_EQ(x_all.size(), 3u);
+    ASSERT_LT(x_all[0], expected.offset);
+    ASSERT_GT(x_all[1], expected.offset);
+    for (const auto& fused : fused_legs(queries, options)) {
+        SCOPED_TRACE(leg_label(*fused));
+        CollectingMultiSink sink(queries.size());
+        EXPECT_EQ(fused->run(padded, sink), expected);
+        EXPECT_EQ(sink.offsets(0), std::vector<std::size_t>{x_all[0]});
+        EXPECT_EQ(sink.offsets(1), y_sink.offsets());
     }
 }
 
@@ -543,22 +610,18 @@ TEST(MultiStream, FusedStreamMatchesPerRecordIndependentRuns)
                                                      : a.query < b.query;
                      });
 
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        for (std::size_t threads :
-             {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-            stream::StreamOptions options;
-            options.threads = threads;
-            options.records_per_batch = 3;  // force several batches
-            MultiStreamExecutor executor =
-                MultiStreamExecutor::for_queries(queries, options, backend);
-            CollectingMultiStreamSink sink;
-            stream::StreamResult result = executor.run(input, sink);
-            EXPECT_EQ(result.records, records.size()) << threads << " threads";
-            EXPECT_TRUE(sink.errors().empty()) << threads << " threads";
-            EXPECT_EQ(sink.matches(), expected) << threads << " threads";
-            EXPECT_EQ(result.matches, expected.size()) << threads << " threads";
-        }
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        stream::StreamOptions options;
+        options.threads = threads;
+        options.records_per_batch = 3;  // force several batches
+        MultiStreamExecutor executor =
+            MultiStreamExecutor::for_queries(queries, options);
+        CollectingMultiStreamSink sink;
+        stream::StreamResult result = executor.run(input, sink);
+        EXPECT_EQ(result.records, records.size()) << threads << " threads";
+        EXPECT_TRUE(sink.errors().empty()) << threads << " threads";
+        EXPECT_EQ(sink.matches(), expected) << threads << " threads";
+        EXPECT_EQ(result.matches, expected.size()) << threads << " threads";
     }
 }
 
@@ -566,32 +629,29 @@ TEST(MultiStream, MalformedRecordFailsEveryLaneOfThatRecordOnly)
 {
     std::string text = R"({"id": 1})" "\n" R"({"id": )" "\n" R"({"id": 3})" "\n";
     PaddedString input(text);
-    for (FusedBackend backend : fused_backends()) {
-        SCOPED_TRACE("backend: " + backend_label(backend));
-        MultiStreamExecutor executor = MultiStreamExecutor::for_queries(
-            std::vector<std::string>{"$.id", "$..id"}, {}, backend);
-        CollectingMultiStreamSink sink;
-        stream::StreamResult result = executor.run(input, sink);
-        EXPECT_EQ(result.records, 3u);
-        EXPECT_EQ(result.failed_records, 1u);
-        ASSERT_EQ(sink.errors().size(), 1u);
-        EXPECT_EQ(sink.errors()[0].record, 1u);
-        // Records 0 and 2 contribute both lanes; record 1 contributes
-        // nothing.
-        ASSERT_EQ(sink.matches().size(), 4u);
-        for (const auto& match : sink.matches()) {
-            EXPECT_NE(match.record, 1u);
-        }
-
-        stream::StreamOptions fail_fast;
-        fail_fast.policy = stream::ErrorPolicy::kFailFast;
-        MultiStreamExecutor strict = MultiStreamExecutor::for_queries(
-            std::vector<std::string>{"$.id", "$..id"}, fail_fast, backend);
-        CountingMultiStreamSink counting(2);
-        stream::StreamResult aborted = strict.run(input, counting);
-        EXPECT_FALSE(aborted.ok());
-        EXPECT_EQ(counting.failed_records(), 1u);
+    MultiStreamExecutor executor = MultiStreamExecutor::for_queries(
+        std::vector<std::string>{"$.id", "$..id"});
+    CollectingMultiStreamSink sink;
+    stream::StreamResult result = executor.run(input, sink);
+    EXPECT_EQ(result.records, 3u);
+    EXPECT_EQ(result.failed_records, 1u);
+    ASSERT_EQ(sink.errors().size(), 1u);
+    EXPECT_EQ(sink.errors()[0].record, 1u);
+    // Records 0 and 2 contribute both queries; record 1 contributes
+    // nothing.
+    ASSERT_EQ(sink.matches().size(), 4u);
+    for (const auto& match : sink.matches()) {
+        EXPECT_NE(match.record, 1u);
     }
+
+    stream::StreamOptions fail_fast;
+    fail_fast.policy = stream::ErrorPolicy::kFailFast;
+    MultiStreamExecutor strict = MultiStreamExecutor::for_queries(
+        std::vector<std::string>{"$.id", "$..id"}, fail_fast);
+    CountingMultiStreamSink counting(2);
+    stream::StreamResult aborted = strict.run(input, counting);
+    EXPECT_FALSE(aborted.ok());
+    EXPECT_EQ(counting.failed_records(), 1u);
 }
 
 /** 64 queries over build_stream's record shapes: eight families of eight
@@ -659,35 +719,31 @@ TEST(MultiStream, SixtyFourQueriesReplayInContractOrderAroundAFailedRecord)
         }
     }
 
-    for (FusedBackend backend : fused_backends()) {
-        for (stream::ErrorPolicy policy :
-             {stream::ErrorPolicy::kSkipRecord, stream::ErrorPolicy::kFailFast,
-              stream::ErrorPolicy::kRetryScalar}) {
-            for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-                SCOPED_TRACE("backend " + backend_label(backend) + ", policy " +
-                             std::to_string(static_cast<int>(policy)) + ", " +
-                             std::to_string(threads) + " threads");
-                stream::StreamOptions options;
-                options.threads = threads;
-                options.policy = policy;
-                options.records_per_batch = 3;  // several batches
-                MultiStreamExecutor executor =
-                    MultiStreamExecutor::for_queries(queries, options, backend);
-                CollectingMultiStreamSink sink;
-                stream::StreamResult result =
-                    executor.run_records(input, records, sink);
-                const bool fail_fast =
-                    policy == stream::ErrorPolicy::kFailFast;
-                EXPECT_EQ(sink.matches(), fail_fast ? before_broken : expected);
-                EXPECT_EQ(result.matches, sink.matches().size());
-                ASSERT_EQ(sink.errors().size(), 1u);
-                EXPECT_EQ(sink.errors()[0].record, kBroken);
-                EXPECT_EQ(result.failed_records, 1u);
-                EXPECT_EQ(result.retried_records,
-                          policy == stream::ErrorPolicy::kRetryScalar ? 1u : 0u);
-                for (const auto& match : sink.matches()) {
-                    EXPECT_NE(match.record, kBroken);
-                }
+    for (stream::ErrorPolicy policy :
+         {stream::ErrorPolicy::kSkipRecord, stream::ErrorPolicy::kFailFast,
+          stream::ErrorPolicy::kRetryScalar}) {
+        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) +
+                         ", " + std::to_string(threads) + " threads");
+            stream::StreamOptions options;
+            options.threads = threads;
+            options.policy = policy;
+            options.records_per_batch = 3;  // several batches
+            MultiStreamExecutor executor =
+                MultiStreamExecutor::for_queries(queries, options);
+            CollectingMultiStreamSink sink;
+            stream::StreamResult result =
+                executor.run_records(input, records, sink);
+            const bool fail_fast = policy == stream::ErrorPolicy::kFailFast;
+            EXPECT_EQ(sink.matches(), fail_fast ? before_broken : expected);
+            EXPECT_EQ(result.matches, sink.matches().size());
+            ASSERT_EQ(sink.errors().size(), 1u);
+            EXPECT_EQ(sink.errors()[0].record, kBroken);
+            EXPECT_EQ(result.failed_records, 1u);
+            EXPECT_EQ(result.retried_records,
+                      policy == stream::ErrorPolicy::kRetryScalar ? 1u : 0u);
+            for (const auto& match : sink.matches()) {
+                EXPECT_NE(match.record, kBroken);
             }
         }
     }

@@ -199,7 +199,7 @@ TEST(ProjectionSinks, SlicesMatchDomExtractionEveryTier)
     }
 }
 
-TEST(ProjectionSinks, FusedBackendsProjectPerQueryMatchingSingleRuns)
+TEST(ProjectionSinks, FusedLegsProjectPerQueryMatchingSingleRuns)
 {
     const std::string text =
         "{\"items\": [{\"name\": \"a\", \"price\": {\"amount\": 1}},"
@@ -207,10 +207,7 @@ TEST(ProjectionSinks, FusedBackendsProjectPerQueryMatchingSingleRuns)
     PaddedString document(text);
     const std::vector<std::string> queries = {"$..name", "$..amount",
                                               "$.items.*.price"};
-    for (multi::FusedBackend backend :
-         {multi::FusedBackend::kLanes, multi::FusedBackend::kProduct}) {
-        std::unique_ptr<multi::FusedEngine> fused =
-            multi::make_fused_engine(queries, {}, backend);
+    for (const auto& fused : testing::fused_legs(queries)) {
         multi::CollectingMultiSink collected(queries.size());
         ASSERT_TRUE(fused->run(document, collected).ok());
         SpanExtender extender(document, simd::best_kernels());
@@ -222,8 +219,7 @@ TEST(ProjectionSinks, FusedBackendsProjectPerQueryMatchingSingleRuns)
             const std::vector<std::string_view> expected =
                 extract_values(document, expected_offsets);
             ASSERT_EQ(slices.slices().size(), expected.size())
-                << queries[q] << " via "
-                << multi::fused_backend_name(backend);
+                << queries[q] << " via " << testing::leg_label(*fused);
             for (std::size_t i = 0; i < expected.size(); ++i) {
                 EXPECT_EQ(slices.slices()[i], expected[i]);
             }

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "descend/baselines/dom_engine.h"
 #include "descend/baselines/surfer_engine.h"
 #include "descend/descend.h"
+#include "descend/multi/fused.h"
 
 namespace descend::testing {
 
@@ -125,6 +128,44 @@ inline void expect_count(const std::string& query, const std::string& document,
     ASSERT_EQ(oracle_offsets(query, document).size(), expected_count)
         << "oracle disagrees with the test's expectation for " << query;
     expect_all_engines_agree(query, document);
+}
+
+/** The smallest product state cap that every single query of @p set
+ *  compiles under: a fused engine built with it splits the set as far as
+ *  bisection goes. */
+inline int split_state_cap(const multi::MultiQuery& set)
+{
+    int cap = 1;
+    for (std::size_t d = 0; d < set.num_distinct(); ++d) {
+        cap = std::max(cap, multi::QuerySetCompiler::compile(set, 1 << 15, d, d + 1)
+                                .subset_states());
+    }
+    return cap;
+}
+
+/** The two legs every fused parity check runs: the default state cap (one
+ *  product automaton unless the set exceeds it) and split_state_cap. */
+inline std::vector<std::unique_ptr<multi::FusedEngine>> fused_legs(
+    const std::vector<std::string>& queries, const EngineOptions& options = {})
+{
+    multi::MultiQuery set = multi::MultiQuery::compile(queries);
+    const int cap = split_state_cap(set);
+    std::vector<std::unique_ptr<multi::FusedEngine>> legs;
+    legs.push_back(std::make_unique<multi::FusedEngine>(set, options));
+    legs.push_back(std::make_unique<multi::FusedEngine>(set, options, cap));
+    // The cap splits the set unless the whole set needs no more subset
+    // states than its largest query (e.g. filters sharing one trie node).
+    const multi::FusedEngine& whole = *legs.front();
+    const bool splits = whole.parts().size() > 1 ||
+                        whole.parts().front().subset_states() > cap;
+    EXPECT_EQ(legs.back()->parts().size() > 1, splits) << "state cap " << cap;
+    return legs;
+}
+
+/** Trace label of a fused leg. */
+inline std::string leg_label(const multi::FusedEngine& engine)
+{
+    return "fused leg: " + std::to_string(engine.parts().size()) + " part(s)";
 }
 
 }  // namespace descend::testing

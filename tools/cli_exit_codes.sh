@@ -60,30 +60,45 @@ check 2 "non-final filter"            "$CLI" '$.a[?(@.x)].y' "$WORK/ok.json"
 check 2 "malformed filter literal"    "$CLI" '$[?(@.x==01)]' "$WORK/ok.json"
 check 2 "single-equals filter"        "$CLI" '$[?(@.x=1)]' "$WORK/ok.json"
 
-# 0: filters compile into the product automaton; a pinned --fused=product
-# filter set must succeed with exactly the counts of --fused=auto.
-check 0 "filter pinned to product"    "$CLI" --fused=product --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
-check 0 "filter under fused auto"     "$CLI" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
-same_output() {
-    local label="$1"; shift
-    local a b
-    a="$("$CLI" --fused=product "$@" 2>&1)"
-    b="$("$CLI" --fused=auto "$@" 2>&1)"
-    if [ "$a" != "$b" ]; then
-        echo "FAIL: $label: --fused=product printed '$a', --fused=auto '$b'" >&2
+# 2: the fused backend flag is gone; every spelling is an unknown option.
+check 2 "removed --fused option"      "$CLI" --fused=product --count --query '$.a' --query '$..b' "$WORK/ok.json"
+check 2 "removed --fused flag"        "$CLI" --fused auto --count --query '$.a' --query '$..b' "$WORK/ok.json"
+
+# Fused sets print per-query counts equal to single-query runs.
+same_counts() {
+    local label="$1" doc="$2"; shift 2
+    local fused singles="" q i=0 args=()
+    for q in "$@"; do args+=(--query "$q"); done
+    fused="$("$CLI" --count "${args[@]}" "$doc" 2>&1)"
+    local rc=$?
+    for q in "$@"; do
+        singles+="query $i: $("$CLI" --count "$q" "$doc" 2>&1)"$'\n'
+        i=$((i + 1))
+    done
+    if [ "$rc" -ne 0 ] || [ "$fused" != "${singles%$'\n'}" ]; then
+        echo "FAIL: $label: fused (exit $rc) printed '$fused', single runs '${singles%$'\n'}'" >&2
         fail=1
     else
         echo "ok: $label"
     fi
 }
-same_output "filter counts product == auto" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
 
-# 4: a set past the product's 2^15-state cap (wildcards after descendants
-# blow up subset construction) fails a pinned --fused=product run as a
-# limit, while auto falls back to lanes.
+# 0: filters compile into the product automaton.
+check 0 "filter set"                  "$CLI" --count --query '$.a[?(@.b)]' --query '$..b' "$WORK/filter.json"
+same_counts "filter set counts == single runs" "$WORK/filter.json" '$.a[?(@.b)]' '$..b'
+
+# 0: a set past the product's 2^15-state cap (wildcards after descendants
+# blow up subset construction) runs split into parts.
 STARS='.*.*.*.*.*.*.*.*.*.*'
-check 4 "state cap pinned to product" "$CLI" --fused=product --count --query "\$..a$STARS" --query "\$..b$STARS" "$WORK/ok.json"
-check 0 "state cap under fused auto"  "$CLI" --count --query "\$..a$STARS" --query "\$..b$STARS" "$WORK/ok.json"
+# Eleven objects under "a" and under "b": both queries match leaves.
+printf '{"a":{"a":{"a":{"a":{"a":{"a":{"a":{"a":{"a":{"a":{"a":{"a":[1,2]}}}}}}}}}}},' > "$WORK/nested.json"
+printf '"b":{"b":{"c":{"c":{"c":{"c":{"c":{"c":{"c":{"c":{"c":{"c":[3,4]}}}}}}}}}}}}' >> "$WORK/nested.json"
+check 0 "state cap set"               "$CLI" --count --query "\$..a$STARS" --query "\$..b$STARS" "$WORK/ok.json"
+same_counts "state cap counts == single runs" "$WORK/nested.json" "\$..a$STARS" "\$..b$STARS"
+
+# 4: a single query past the DFA's state limit cannot be split.
+check 4 "single query past DFA cap"   "$CLI" --count "\$..a$STARS.*.*.*" "$WORK/ok.json"
+check 4 "same query in a fused set"   "$CLI" --count --query "\$..a$STARS.*.*.*" --query '$.a' "$WORK/ok.json"
 
 # 3: malformed input.
 check 3 "truncated document"          "$CLI" '$..b' "$WORK/truncated.json"

@@ -25,17 +25,13 @@
  *   --limit N          print at most N results (default: all)
  *   --engine NAME      descend (default) | surfer | ski | dom
  *   --query Q          add a query to the set (repeatable). With more than
- *                      one query the descend engine evaluates the whole set
- *                      in one fused pass (one block classification, N
- *                      automata); matches print as "query Q: value"
+ *                      one query the descend engine compiles the whole set
+ *                      into one product automaton and evaluates it in one
+ *                      fused pass (a set past the state cap splits into
+ *                      parts, one pass each); matches print as
+ *                      "query Q: value"
  *   --queries FILE     add every query listed in FILE (one per line; blank
  *                      lines and lines starting with '#' are skipped)
- *   --fused MODE       multi-query backend: auto (default) | lanes |
- *                      product. `product` compiles the whole set into ONE
- *                      product automaton (O(1) automaton work per event;
- *                      scales to 1k+ queries) and fails when the set
- *                      exceeds the state cap; `lanes` simulates per-query
- *                      lanes; `auto` prefers product and falls back
  *   --simd LEVEL       kernel tier: scalar | avx2 | avx512 (default: best
  *                      supported; unavailable tiers fall back). Also
  *                      settable via the DESCEND_SIMD_LEVEL env var, which
@@ -115,7 +111,6 @@ struct CliOptions {
     std::uint64_t stream_budget_ms = 0;  // 0 = none
     std::size_t threads = 0;  // 0 = hardware concurrency
     std::size_t limit = 0;    // 0 = unlimited
-    multi::FusedBackend fused = multi::FusedBackend::kAuto;
     project::ProjectionMode project = project::ProjectionMode::kNone;
     EngineOptions engine_options;
 };
@@ -128,7 +123,6 @@ void usage()
         "  --count | --offsets | --limit N | --project slices|ndjson|count\n"
         "  --engine descend|surfer|ski|dom   --simd scalar|avx2|avx512 | --scalar\n"
         "  --query Q (repeatable) | --queries FILE   fused multi-query set\n"
-        "  --fused auto|lanes|product   multi-query execution backend\n"
         "  --no-head-skip | --within-skip | --stats | --validate\n"
         "  --ndjson [--threads N] [--fail-fast | --retry-scalar]\n"
         "  --deadline-ms N | --stream-budget-ms N   run governance\n"
@@ -188,23 +182,6 @@ bool parse_args(int argc, char** argv, CliOptions& options)
                              value);
                 return false;
             }
-        } else if (arg == "--fused" || arg.rfind("--fused=", 0) == 0) {
-            const char* value = nullptr;
-            if (arg == "--fused") {
-                if (++i >= argc) {
-                    return false;
-                }
-                value = argv[i];
-            } else {
-                value = arg.c_str() + std::strlen("--fused=");
-            }
-            auto backend = multi::parse_fused_backend(value);
-            if (!backend.has_value()) {
-                std::fprintf(stderr,
-                             "descend-cli: unknown fused backend '%s'\n", value);
-                return false;
-            }
-            options.fused = *backend;
         } else if (arg == "--project" || arg.rfind("--project=", 0) == 0) {
             const char* value = nullptr;
             if (arg == "--project") {
@@ -261,6 +238,10 @@ bool parse_args(int argc, char** argv, CliOptions& options)
             }
             options.engine = argv[i];
         } else if (arg == "--help" || arg == "-h") {
+            return false;
+        } else if (arg.rfind("--", 0) == 0) {
+            std::fprintf(stderr, "descend-cli: unknown option '%s'\n",
+                         arg.c_str());
             return false;
         } else {
             positional.push_back(std::move(arg));
@@ -702,7 +683,7 @@ int run_multi_ndjson(const CliOptions& options, const PaddedString& input)
     stream::StreamOptions stream_options = make_stream_options(options);
     obs::PhaseStopwatch compile_watch;
     multi::MultiStreamExecutor executor = multi::MultiStreamExecutor::for_queries(
-        options.queries, stream_options, options.fused);
+        options.queries, stream_options);
     const std::uint64_t compile_ns = compile_watch.elapsed_ns();
 
     const simd::Kernels& kernels =
@@ -871,7 +852,7 @@ int main(int argc, char** argv)
         if (multi && !options.ndjson) {
             multi_engine = multi::make_fused_engine(
                 multi::MultiQuery::compile(options.queries),
-                options.engine_options, options.fused);
+                options.engine_options);
         }
         const std::uint64_t compile_ns = compile_watch.elapsed_ns();
         auto dispatch = [&](const std::string& name, const PaddedString& doc) {

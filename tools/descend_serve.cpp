@@ -33,9 +33,6 @@
  *                        result sets truncate at a value boundary and set
  *                        the values-truncated flag (default 64M, 0 = off)
  *   --simd LEVEL         kernel tier: scalar | avx2 | avx512
- *   --fused MODE         multi-query backend: auto | lanes | product
- *                        (default auto: one product automaton per set,
- *                        lanes when a set trips the product state cap)
  *   --within-skip        enable the within-element label skip extension
  *   --help               this text
  *
@@ -52,7 +49,6 @@
 #include <cstring>
 #include <string>
 
-#include "descend/multi/fused.h"
 #include "descend/serve/server.h"
 #include "descend/simd/dispatch.h"
 
@@ -77,7 +73,7 @@ void usage()
         "  --drain-ms N | --default-deadline-ms N | --max-deadline-ms N\n"
         "  --max-depth N | --max-matches N\n"
         "  --max-query-bytes N | --max-body-bytes N | --max-projected-bytes N\n"
-        "  --simd scalar|avx2|avx512 | --fused auto|lanes|product\n"
+        "  --simd scalar|avx2|avx512\n"
         "  --within-skip\n"
         "exit codes: 0 clean shutdown, 2 usage, 5 socket failure\n",
         stderr);
@@ -210,25 +206,6 @@ int main(int argc, char** argv)
                              level);
                 return 2;
             }
-        } else if (arg == "--fused" || arg.rfind("--fused=", 0) == 0) {
-            const char* backend = nullptr;
-            if (arg == "--fused") {
-                if (++i >= argc) {
-                    usage();
-                    return 2;
-                }
-                backend = argv[i];
-            } else {
-                backend = arg.c_str() + std::strlen("--fused=");
-            }
-            auto parsed = multi::parse_fused_backend(backend);
-            if (!parsed) {
-                std::fprintf(stderr,
-                             "descend-serve: unknown fused backend '%s'\n",
-                             backend);
-                return 2;
-            }
-            config.policy.fused_backend = *parsed;
         } else if (arg == "--within-skip") {
             config.policy.engine.label_within_skipping = true;
         } else if (arg == "--help" || arg == "-h") {

@@ -72,24 +72,26 @@
  * grammar — array indices, slices, quoted-label unions, bracket-quoted
  * children and trailing filter predicates. Every streaming configuration
  * at every kernel tier plus the surfer baseline must reproduce the DOM
- * oracle's match set exactly, and the same query sets run through BOTH
- * fused backends against independent per-query runs (filter-carrying sets
- * exercise the product backend's report-time gates; the summary counts
- * those product legs).
+ * oracle's match set exactly, and the same query sets run through both
+ * fused legs (whole and split) against independent per-query runs
+ * (filter-carrying sets exercise the report-time filter gates; the summary
+ * counts those legs).
  *
  * --multi N: fused multi-query mode. Random query sets of up to 64
  * subscriptions — corpus-derived bases extended with mutated shared
- * prefixes, verbatim duplicates included — run through BOTH fused
- * backends (the per-query lanes and the set-compiled product automaton,
- * src/descend/multi) against N independent single-query runs on mutated
- * documents, at every kernel tier: identical per-query match sets when
+ * prefixes, verbatim duplicates included — run through the fused engine
+ * (src/descend/multi) against N independent single-query runs on mutated
+ * documents, at every kernel tier, in two legs: the whole set as one
+ * product automaton, and the set split into parts by the smallest state
+ * cap its queries compile under. Identical per-query match sets when
  * every independent run passes, uniformly-rejecting statuses when all
- * fail alike. A set that trips the product state cap skips the product
- * leg, mirroring the kAuto fallback.
+ * fail alike. The summary counts split legs and sets refused because one
+ * query alone exceeds the state cap.
  *
  * Exits non-zero on the first disagreement, printing a self-contained
  * reproducer (seed dataset, mutation, document, statuses).
  */
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -109,7 +111,6 @@
 #include "descend/engine/scratch.h"
 #include "descend/json/dom.h"
 #include "descend/multi/fused.h"
-#include "descend/multi/multi_engine.h"
 #include "descend/util/errors.h"
 #include "descend/serve/dispatch.h"
 #include "descend/serve/protocol.h"
@@ -457,10 +458,12 @@ struct Stats {
     long still_valid = 0;
     long rejected = 0;
     long per_class[5] = {0, 0, 0, 0, 0};
-    /** check_multi product legs skipped because compilation refused the
-     *  set (the state cap). */
-    long product_refused = 0;
-    /** check_multi product legs compared on sets holding a filter. */
+    /** check_multi sets refused because one query alone exceeds the
+     *  product state cap (no split can help). */
+    long singleton_refused = 0;
+    /** check_multi legs compared with the set split into parts. */
+    long split_legs = 0;
+    /** check_multi legs compared on sets holding a filter. */
     long filter_product_legs = 0;
 };
 
@@ -1093,19 +1096,35 @@ int report_multi(const std::string& name, const Mutation& mutation,
     return 1;
 }
 
+/** The smallest product state cap that every single query of @p set
+ *  compiles under: a fused engine built with it splits the set as far as
+ *  bisection goes. @throws LimitError when one query alone exceeds the
+ *  default cap. */
+int split_state_cap(const multi::MultiQuery& set)
+{
+    int cap = 1;
+    for (std::size_t d = 0; d < set.num_distinct(); ++d) {
+        cap = std::max(cap, multi::QuerySetCompiler::compile(set, 1 << 15, d, d + 1)
+                                .subset_states());
+    }
+    return cap;
+}
+
 /**
  * Checks one (possibly mutated) document under one fused query set: per
- * kernel tier and per fused backend (lanes AND product), the fused run
- * must agree with N independent runs — identical per-query match sets
- * when every independent run is ok, identical status class when every
- * independent run fails the same way. Product and lanes are thereby also
+ * kernel tier and per leg — the set at the default state cap (one product
+ * automaton) and split into parts by split_state_cap — the fused run must
+ * agree with N independent runs: identical per-query match sets when
+ * every independent run is ok, identical status class when every
+ * independent run fails the same way. The two legs are thereby also
  * differentially checked against each other through the shared oracle.
  *
  * Detection asymmetry: an independent run in head-skip mode never observes
  * the root element, while the fused pass head-skips only on a label common
- * to EVERY lane — so the fused run may flag trailing content that the
- * independent head-skip runs are documented to miss. That one outcome is
- * tolerated; anything else the lanes did not report is a finding.
+ * to EVERY query of a part — so the fused run may flag trailing content
+ * that the independent head-skip runs are documented to miss. That one
+ * outcome is tolerated; anything else the independent runs did not report
+ * is a finding.
  */
 int check_multi(const std::string& name, const Mutation& mutation,
                 const std::vector<std::string>& queries, bool within_skip,
@@ -1119,6 +1138,14 @@ int check_multi(const std::string& name, const Mutation& mutation,
         any_head_skip =
             any_head_skip || compiled.head_skip_label().has_value();
         any_filter = any_filter || compiled.filter() != nullptr;
+    }
+    const multi::MultiQuery set = multi::MultiQuery::compile(queries);
+    int cap = 0;
+    try {
+        cap = split_state_cap(set);
+    } catch (const LimitError&) {
+        stats.singleton_refused += 1;
+        return 0;
     }
     for (simd::Level level : available_levels()) {
         EngineOptions options;
@@ -1141,26 +1168,19 @@ int check_multi(const std::string& name, const Mutation& mutation,
             all_same = all_same && status == statuses.front();
         }
 
-        for (multi::FusedBackend backend : {multi::FusedBackend::kLanes,
-                                            multi::FusedBackend::kProduct}) {
+        for (bool split_leg : {false, true}) {
+            const multi::FusedEngine fused(set, options,
+                                           split_leg ? cap : 1 << 15);
+            const bool split = fused.parts().size() > 1;
+            if (split_leg && !split) {
+                continue;  // the set fits its largest query: no split leg
+            }
             std::string configuration =
                 std::string("multi[") + simd::level_name(level) +
                 (within_skip ? "+within" : "") + "," +
-                std::string(multi::fused_backend_name(backend)) + "]";
-            std::unique_ptr<multi::FusedEngine> fused;
-            try {
-                fused = multi::make_fused_engine(
-                    multi::MultiQuery::compile(queries), options, backend);
-            } catch (const LimitError&) {
-                // The product state cap — exactly what kAuto falls back
-                // on; the lanes leg still covers this set.
-                stats.product_refused += 1;
-                continue;
-            }
-            const bool filter_product_leg =
-                any_filter && backend == multi::FusedBackend::kProduct;
+                std::to_string(fused.parts().size()) + " part(s)]";
             multi::CollectingMultiSink sink(queries.size());
-            EngineStatus fused_status = fused->run(padded, sink);
+            EngineStatus fused_status = fused.run(padded, sink);
 
             if (all_ok) {
                 if (!fused_status.ok()) {
@@ -1188,16 +1208,17 @@ int check_multi(const std::string& name, const Mutation& mutation,
                     }
                 }
                 stats.still_valid += 1;
-                stats.filter_product_legs += filter_product_leg ? 1 : 0;
+                stats.split_legs += split ? 1 : 0;
+                stats.filter_product_legs += any_filter ? 1 : 0;
             } else if (all_same) {
-                // Every lane rejects the document. The fused pass must
-                // reject too — but the *offset* (and with it the code
-                // picked among several defects) legitimately depends on
-                // the skip pattern, and both backends walk regions the
+                // Every independent run rejects the document. The fused
+                // pass must reject too — but the *offset* (and with it the
+                // code picked among several defects) legitimately depends
+                // on the skip pattern, and the fused pass walks regions the
                 // single runs fast-forward over, so detection can land
                 // earlier. Only the classification contract is shared:
-                // non-ok, and never a resource limit unless the lanes
-                // reported one.
+                // non-ok, and never a resource limit unless the
+                // independent runs reported one.
                 if (fused_status.ok()) {
                     return report_multi(name, mutation, queries,
                                         configuration,
@@ -1215,7 +1236,8 @@ int check_multi(const std::string& name, const Mutation& mutation,
                                         mutation.document);
                 }
                 stats.rejected += 1;
-                stats.filter_product_legs += filter_product_leg ? 1 : 0;
+                stats.split_legs += split ? 1 : 0;
+                stats.filter_product_legs += any_filter ? 1 : 0;
             }
             // Mixed independent statuses (head-skip detection asymmetry):
             // no cross-engine expectation holds; skip.
@@ -1289,7 +1311,7 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
         stats.mutants += 1;
         // A random 2..64-subscription set built from the corpus queries
         // by shared-prefix/suffix mutation — child-wildcard and
-        // descendant lanes mix so skip decisions genuinely disagree, and
+        // descendant queries mix so skip decisions genuinely disagree, and
         // duplicates exercise the dedup path.
         std::vector<std::string> subset = random_query_set(corpus, rng);
         bool within = rng() % 2 == 1;
@@ -1304,10 +1326,11 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
         }
     }
     std::printf("fuzz_engine --multi: %ld mutants over %zu seeds OK\n"
-                "  parity-checked backend-runs: ok %ld, uniformly rejected "
-                "%ld; product legs refused (state cap): %ld\n",
+                "  parity-checked legs: ok %ld, uniformly rejected %ld; "
+                "split legs checked: %ld; singleton parts refused (state "
+                "cap): %ld\n",
                 stats.mutants, corpora.size(), stats.still_valid,
-                stats.rejected, stats.product_refused);
+                stats.rejected, stats.split_legs, stats.singleton_refused);
     return 0;
 }
 
@@ -1316,10 +1339,8 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
 // filters) drawn by the random query generator against random well-formed
 // documents. Every streaming configuration at every kernel tier, plus the
 // surfer baseline, must reproduce the DOM oracle's match set exactly; the
-// same query sets also go through check_multi, so both fused backends are
-// covered — filter-bearing sets included, whose product legs the summary
-// counts (a set whose product compilation trips the state cap exercises
-// exactly the kAuto lanes fallback, and is counted as refused).
+// same query sets also go through check_multi, so both fused legs are
+// covered — filter-bearing sets included, which the summary counts.
 // ---------------------------------------------------------------------------
 
 int report_selectors(std::uint64_t seed, const std::string& query,
@@ -1411,7 +1432,7 @@ int run_selectors_mode(long iterations, std::uint64_t seed0, bool verbose)
             checked_queries += 1;
         }
 
-        // Both fused backends against independent runs on the same set.
+        // Both fused legs against independent runs on the same set.
         Mutation pristine{"none (random selector document)", document};
         if (int rc = check_multi("selectors-" + std::to_string(seed),
                                  pristine, queries, i % 2 == 1, set_stats)) {
@@ -1428,11 +1449,11 @@ int run_selectors_mode(long iterations, std::uint64_t seed0, bool verbose)
         "fuzz_engine --selectors: %ld iterations OK\n"
         "  single-query runs: %ld (with filters %ld, with counters %ld); "
         "fused sets: %ld\n"
-        "  filter-set product legs checked: %ld; product legs refused "
-        "(state cap): %ld\n",
+        "  filter-set product legs checked: %ld; split legs checked: %ld; "
+        "singleton parts refused (state cap): %ld\n",
         iterations, checked_queries, filter_queries, counter_queries,
-        checked_sets, set_stats.filter_product_legs,
-        set_stats.product_refused);
+        checked_sets, set_stats.filter_product_legs, set_stats.split_legs,
+        set_stats.singleton_refused);
     return 0;
 }
 
@@ -1556,10 +1577,11 @@ int run_faults_mode(long iterations, std::uint64_t seed0, bool verbose)
                     corpus.document.size() / simd::kBatchSize + 2;
                 fault::arm(fault::Site::kBatchRefill, pick(rng, refills + 4),
                            static_cast<std::uint64_t>(forced));
-                multi::MultiDescendEngine fused(
-                    multi::MultiQuery::compile(corpus.queries), options);
+                std::unique_ptr<multi::FusedEngine> fused =
+                    multi::make_fused_engine(
+                        multi::MultiQuery::compile(corpus.queries), options);
                 multi::CollectingMultiSink sink(corpus.queries.size());
-                EngineStatus status = fused.run(padded, sink);
+                EngineStatus status = fused->run(padded, sink);
                 bool fired = fault::fired_count(fault::Site::kBatchRefill) > 0;
                 std::string configuration = "multi[" + describe(options) + "]";
                 if (fired) {
