@@ -10,7 +10,11 @@
  * call that loads each byte exactly once. Derived views — the structural
  * mask with commas/colons toggled, depth masks for one bracket kind — are
  * cheap recompositions of the cached masks, so toggling never invalidates
- * the ring.
+ * the ring. Each cached block also carries its four bracket counts outside
+ * strings and the mask of its bytes equal to the stream's probe byte (see
+ * simd::BlockMasks): full-block consumers add counts instead of
+ * popcounting, and label search reads its first-byte prefilter off the
+ * probe mask.
  *
  * The stop/resume protocol is preserved exactly: each cached block records
  * the quote-carry state at its entry (a classify::QuoteState on a block
@@ -50,12 +54,16 @@ public:
      *  check per kBatchSize input bytes). A violation latches interrupt()
      *  with the refill's block offset; consumers observe the latch after
      *  pulling masks and park their pipelines. Null (the default, and
-     *  what engines pass for an inactive budget) costs one null test. */
+     *  what engines pass for an inactive budget) costs one null test.
+     *  @param probe the byte every cached block's probe mask marks; fixed
+     *  for the stream's lifetime (restart() keeps it). */
     BatchedBlockStream(const std::uint8_t* data, const simd::Kernels& kernels,
                        obs::Counters* counters = nullptr,
-                       const RunBudget* budget = nullptr) noexcept
+                       const RunBudget* budget = nullptr,
+                       std::uint8_t probe = 0) noexcept
         : data_(data), kernels_(&kernels), counters_(counters), budget_(budget)
     {
+        carry_.probe = probe;
     }
 
     /**

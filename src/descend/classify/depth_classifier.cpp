@@ -1,7 +1,5 @@
 #include "descend/classify/depth_classifier.h"
 
-#include <cassert>
-
 #include "descend/classify/structural_classifier.h"
 #include "descend/util/bits.h"
 
@@ -29,15 +27,8 @@ DepthMasks depth_masks(const simd::BlockMasks& masks, BracketKind kind) noexcept
     return {masks.open_brackets, masks.close_brackets};
 }
 
-int find_depth_zero(DepthMasks masks, int& relative_depth) noexcept
+int walk_to_depth_zero(DepthMasks masks, int& relative_depth) noexcept
 {
-    assert(relative_depth >= 1);
-    // Block-skip heuristic (Section 4.4): fewer closers than the current
-    // depth means the depth cannot reach zero anywhere in this block.
-    if (bits::popcount(masks.closers) < relative_depth) {
-        relative_depth += bits::popcount(masks.openers) - bits::popcount(masks.closers);
-        return -1;
-    }
     std::uint64_t consumed_openers = 0;
     for (bits::BitIter it(masks.closers); !it.done(); it.advance()) {
         int index = it.index();

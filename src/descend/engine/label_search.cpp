@@ -17,8 +17,12 @@ LabelSearch::LabelSearch(PaddedView input, const simd::Kernels& kernels,
     : data_(input.data()),
       size_(input.size()),
       end_((input.size() + simd::kBlockSize - 1) / simd::kBlockSize * simd::kBlockSize),
+      // Probe byte = the label's first byte: classify_block() reads its
+      // first-byte prefilter off each block's probe mask.
       blocks_(input.data(), kernels,
-              accountant == nullptr ? nullptr : accountant->counters(), budget),
+              accountant == nullptr ? nullptr : accountant->counters(), budget,
+              escaped_label.empty() ? std::uint8_t{0}
+                                    : static_cast<std::uint8_t>(escaped_label[0])),
       label_(escaped_label),
       validator_(validator),
       accountant_(accountant)
@@ -50,7 +54,7 @@ void LabelSearch::classify_block()
     std::uint64_t in_string = masks.in_string & valid;
     std::uint64_t unescaped_quotes = masks.unescaped_quotes & valid;
     if (validator_ != nullptr) {
-        validator_->account(masks, block_start_, in_string, valid);
+        validator_->account(masks, block_start_, valid);
     }
     if (accountant_ != nullptr) {
         accountant_->account_as(block_start_, obs::BlockMode::kHeadSkip);
@@ -60,11 +64,10 @@ void LabelSearch::classify_block()
     candidates_ = unescaped_quotes & in_string;
     if (!label_.empty()) {
         // First-byte prefilter: the byte after the opening quote must be the
-        // label's first byte. Bit 63's successor lives in the next block, so
-        // it is kept unconditionally and left to bytewise verification.
-        std::uint64_t first = blocks_.kernels().eq_mask(
-            data_ + block_start_, static_cast<std::uint8_t>(label_[0]));
-        candidates_ &= (first >> 1) | (1ULL << 63);
+        // label's first byte, which is the stream's probe byte. Bit 63's
+        // successor lives in the next block, so it is kept unconditionally
+        // and left to bytewise verification.
+        candidates_ &= (masks.probe >> 1) | (1ULL << 63);
     }
 }
 

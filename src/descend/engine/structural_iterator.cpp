@@ -83,7 +83,7 @@ void StructuralIterator::classify_block(bool with_structural)
     in_string_ = masks.in_string & valid;
     unescaped_quotes_ = masks.unescaped_quotes & valid;
     if (validator_ != nullptr) {
-        validator_->account(masks, block_start_, in_string_, valid);
+        validator_->account(masks, block_start_, valid);
     }
     if (accountant_ != nullptr) {
         accountant_->account(block_start_);
@@ -257,16 +257,34 @@ void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
     while (block_start_ < end_) {
         const simd::BlockMasks& block_masks = blocks_.masks(block_start_);
         classify::DepthMasks masks = classify::depth_masks(block_masks, kind);
-        std::uint64_t in_bound = ~in_string_ & live & block_valid_mask();
+        std::uint64_t valid = block_valid_mask();
+        std::uint64_t in_bound = ~in_string_ & live & valid;
         masks.openers &= in_bound;
         masks.closers &= in_bound;
         std::uint64_t all_openers =
             (block_masks.open_braces | block_masks.open_brackets) & in_bound;
         std::uint64_t all_closers =
             (block_masks.close_braces | block_masks.close_brackets) & in_bound;
+        // A whole block takes its counts from the batch; the first block
+        // (clipped by the floor) and a slice's partial last block count
+        // their clipped masks.
+        classify::DepthCounts counts;
+        int all_opener_count;
+        int all_closer_count;
+        if ((live & valid) == ~std::uint64_t{0}) {
+            counts = classify::depth_counts(block_masks, kind);
+            all_opener_count =
+                block_masks.counts.open_braces + block_masks.counts.open_brackets;
+            all_closer_count =
+                block_masks.counts.close_braces + block_masks.counts.close_brackets;
+        } else {
+            counts = {bits::popcount(masks.openers), bits::popcount(masks.closers)};
+            all_opener_count = bits::popcount(all_openers);
+            all_closer_count = bits::popcount(all_closers);
+        }
         int index;
         if (static_cast<std::size_t>(true_depth) +
-                static_cast<std::size_t>(bits::popcount(all_openers)) >
+                static_cast<std::size_t>(all_opener_count) >
             max_relative) {
             // The bit-parallel step would hide an intra-block depth
             // excursion past the limit: enforce it with an exact scan of
@@ -299,14 +317,13 @@ void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
                 }
             }
         } else {
-            index = classify::find_depth_zero(masks, relative_depth);
-            true_depth += bits::popcount(all_openers) -
-                          bits::popcount(all_closers);
+            index = classify::find_depth_zero(masks, counts, relative_depth);
+            true_depth += all_opener_count - all_closer_count;
         }
         if (index >= 0) {
             floor_ = consume_closer ? index + 1 : index;
             struct_mask_ = compose_structural(block_masks) & ~in_string_ &
-                           bits::mask_from(floor_) & block_valid_mask();
+                           bits::mask_from(floor_) & valid;
             return;
         }
         if (true_depth > 0 &&

@@ -22,8 +22,10 @@
  *    (delete / insert / kind-flip) leaves at least one balance nonzero,
  *    even when a kind-filtered fast-forward would happily jump across the
  *    damage. The end-of-input string state catches unterminated strings,
- *    including a lone '\\' swallowing the padding. Cost: four eq_mask +
- *    four popcount per block, only in paths that already classify blocks.
+ *    including a lone '\\' swallowing the padding. Cost per full block:
+ *    four adds of the bracket counts classify_batch already produced, no
+ *    popcount and no kernel call; only a slice's final partial block
+ *    re-derives its counts from masks clipped to the end bound.
  */
 #pragma once
 
@@ -32,7 +34,6 @@
 
 #include "descend/engine/padded_string.h"
 #include "descend/simd/dispatch.h"
-#include "descend/util/bits.h"
 #include "descend/util/status.h"
 
 namespace descend {
@@ -44,39 +45,33 @@ class StructuralValidator {
 public:
     /**
      * Accounts one classified block from its pre-computed batch masks.
-     * Call with the block's start offset and its clipped in-string mask;
-     * blocks must arrive in order and are counted exactly once
+     * Blocks must arrive in order and are counted exactly once
      * (re-classification of an already-counted block, as the resume
      * protocol performs, is ignored via the monotone counter).
      *
      * @param valid mask of positions within the input's end bound. All
-     *        ones for full blocks; a low-bits mask for the final partial
-     *        block of a PaddedView slice, whose tail bytes belong to the
-     *        surrounding buffer and must not move any balance. The
-     *        in-string mask must already be clipped to @p valid.
+     *        ones for full blocks, which add the batch's bracket counts; a
+     *        low-bits mask for the final partial block of a PaddedView
+     *        slice, whose tail bytes belong to the surrounding buffer and
+     *        must not move any balance, so its counts come from the masks
+     *        clipped to @p valid.
      */
     void account(const simd::BlockMasks& masks, std::size_t block_start,
-                 std::uint64_t in_string,
                  std::uint64_t valid = ~std::uint64_t{0}) noexcept
     {
         if (block_start != counted_until_) {
             return;
         }
         counted_until_ += simd::kBlockSize;
-        std::uint64_t not_string = ~in_string & valid;
-        obj_balance_ +=
-            static_cast<std::int64_t>(bits::popcount(masks.open_braces & not_string));
-        obj_balance_ -=
-            static_cast<std::int64_t>(bits::popcount(masks.close_braces & not_string));
-        arr_balance_ +=
-            static_cast<std::int64_t>(bits::popcount(masks.open_brackets & not_string));
-        arr_balance_ -=
-            static_cast<std::int64_t>(bits::popcount(masks.close_brackets & not_string));
-        // The string state at the end bound: the highest valid position's
-        // in-string bit (valid is a contiguous low mask, so its popcount
-        // is the index one past the top bit).
-        int top = bits::popcount(valid) - 1;
-        ends_in_string_ = top >= 0 && ((in_string >> top) & 1) != 0;
+        if (valid == ~std::uint64_t{0}) {
+            obj_balance_ += static_cast<std::int64_t>(masks.counts.open_braces) -
+                            static_cast<std::int64_t>(masks.counts.close_braces);
+            arr_balance_ += static_cast<std::int64_t>(masks.counts.open_brackets) -
+                            static_cast<std::int64_t>(masks.counts.close_brackets);
+            ends_in_string_ = (masks.in_string >> 63) != 0;
+            return;
+        }
+        account_partial(masks, valid);
     }
 
     /** Number of bytes covered by accounted blocks so far. */
@@ -100,6 +95,10 @@ public:
     }
 
 private:
+    /** The masked path of account() for a slice's final partial block. */
+    void account_partial(const simd::BlockMasks& masks,
+                         std::uint64_t valid) noexcept;
+
     std::size_t counted_until_ = 0;
     std::int64_t obj_balance_ = 0;
     std::int64_t arr_balance_ = 0;

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "descend/util/bits.h"
+
 namespace descend::multi {
 
 class SubscriberSet {
@@ -48,7 +50,7 @@ public:
     {
         std::size_t total = 0;
         for (std::uint64_t word : words_) {
-            total += static_cast<std::size_t>(std::popcount(word));
+            total += static_cast<std::size_t>(bits::popcount(word));
         }
         return total;
     }

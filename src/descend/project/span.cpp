@@ -120,7 +120,7 @@ std::size_t SpanExtender::extend_container(std::size_t offset) noexcept
     }
     std::size_t pos = block0 + simd::kBlockSize;
 
-    // Lean per-block walk: the same two-popcount depth-zero test, on
+    // Lean per-block walk: the same depth-zero test (SWAR counts), on
     // masks classified for exactly the blocks touched (see kLeanBlocks).
     for (int lean = 0; lean < kLeanBlocks && pos < size; ++lean) {
         const classify::QuoteMasks quote_masks = quotes.classify(data + pos);
@@ -149,11 +149,17 @@ std::size_t SpanExtender::extend_container(std::size_t offset) noexcept
     while (pos < size) {
         const simd::BlockMasks& masks = stream_.masks(pos);
         classify::DepthMasks batch_mask = classify::depth_masks(masks, kind);
-        const std::uint64_t batch_usable =
-            ~masks.in_string & valid_bits(pos, size);
+        const std::uint64_t valid = valid_bits(pos, size);
+        const std::uint64_t batch_usable = ~masks.in_string & valid;
         batch_mask.openers &= batch_usable;
         batch_mask.closers &= batch_usable;
-        bit = classify::find_depth_zero(batch_mask, relative_depth);
+        // Whole blocks use the batch's bracket counts; only the view's
+        // partial last block counts its clipped masks.
+        bit = valid == ~std::uint64_t{0}
+                  ? classify::find_depth_zero(
+                        batch_mask, classify::depth_counts(masks, kind),
+                        relative_depth)
+                  : classify::find_depth_zero(batch_mask, relative_depth);
         if (bit >= 0) {
             return pos + static_cast<std::size_t>(bit) + 1;
         }

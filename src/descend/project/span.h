@@ -17,9 +17,9 @@
  * (2) a lean per-block walk classifying only the blocks the value
  * touches; (3) for values still open after that, whole blocks of
  * pre-classified masks from a persistent batch ring
- * (classify/block_batch.h), consumed with the same two-popcount
- * depth-zero test the engine's skip-children fast-forward uses
- * (classify/depth_classifier.h). A multi-megabyte matched subtree is
+ * (classify/block_batch.h), consumed with the same depth-zero test the
+ * engine's skip-children fast-forward uses (classify/depth_classifier.h),
+ * on the bracket counts the batch kernel already produced. A multi-megabyte matched subtree is
  * delimited at classifier speed, not byte by byte.
  *
  * Record-boundary contract: the extender scans only within the view it

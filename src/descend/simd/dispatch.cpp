@@ -6,11 +6,12 @@
 namespace descend::simd {
 
 #if DESCEND_HAVE_AVX2_KERNELS
-// Implemented in kernels_avx2.cpp (compiled with -mavx2 -mpclmul).
+// Implemented in kernels_avx2.cpp (compiled with -mavx2 -mpclmul -mpopcnt).
 const Kernels& avx2_kernel_table() noexcept;
 #endif
 #if DESCEND_HAVE_AVX512_KERNELS
-// Implemented in kernels_avx512.cpp (compiled with -mavx512* -mvpclmulqdq).
+// Implemented in kernels_avx512.cpp (compiled with -mavx512* -mvpclmulqdq
+// -mpopcnt).
 const Kernels& avx512_kernel_table() noexcept;
 #endif
 
@@ -18,7 +19,8 @@ bool avx2_available() noexcept
 {
 #if DESCEND_HAVE_AVX2_KERNELS
     static const bool available =
-        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul");
+        __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul") &&
+        __builtin_cpu_supports("popcnt");
     return available;
 #else
     return false;
@@ -31,7 +33,8 @@ bool avx512_available() noexcept
     static const bool available =
         __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
         __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq") &&
-        __builtin_cpu_supports("vpclmulqdq") && __builtin_cpu_supports("pclmul");
+        __builtin_cpu_supports("vpclmulqdq") && __builtin_cpu_supports("pclmul") &&
+        __builtin_cpu_supports("popcnt");
     return available;
 #else
     return false;

@@ -8,12 +8,19 @@
  *  - scalar: portable per-byte/SWAR code, always compiled. It doubles as
  *    the differential-testing reference and as the ablation baseline for
  *    the "SIMD vs scalar pipeline" experiment.
- *  - avx2: AVX2 + PCLMUL intrinsics, compiled in a separate translation
- *    unit with the matching ISA flags and selected only after a CPUID
- *    check, mirroring rsonpath's target-feature gating.
- *  - avx512: AVX-512 (F/BW/VL/DQ) + VPCLMULQDQ intrinsics, one 64-byte
- *    vector per block so comparisons produce bitmask words directly,
- *    again CPUID-gated in its own translation unit.
+ *  - avx2: AVX2 + PCLMUL + POPCNT intrinsics, compiled in a separate
+ *    translation unit with the matching ISA flags and selected only after
+ *    a CPUID check, mirroring rsonpath's target-feature gating.
+ *  - avx512: AVX-512 (F/BW/VL/DQ) + VPCLMULQDQ + POPCNT intrinsics, one
+ *    64-byte vector per block so comparisons produce bitmask words
+ *    directly, again CPUID-gated in its own translation unit.
+ *
+ * The rest of the library is built for baseline x86-64, so only those two
+ * translation units may use POPCNT (or any other extension); everything
+ * else counts bits with the SWAR bits::popcount. tools/isa_leak_check.sh
+ * guards the boundary: the ISA-flagged objects must define no weak or
+ * COMDAT symbol, which would be an out-of-line copy of a shared inline
+ * helper the linker could hand to scalar-tier callers.
  *
  * All block kernels operate on exactly 64 input bytes (one bitmask word).
  * The batched kernel operates on kBatchBlocks consecutive blocks at once.
@@ -43,8 +50,21 @@ enum class Level {
 };
 
 /**
- * Every mask the pipeline needs for one 64-byte block, computed from a
- * single load of the block's bytes (Langdale & Lemire's design point: keep
+ * A block's bracket counts outside strings: popcount(mask & ~in_string)
+ * for each of the four bracket masks. Four bytes, so the SIMD kernels
+ * write all of them with one 32-bit store.
+ */
+struct BracketCounts {
+    std::uint8_t open_braces;
+    std::uint8_t close_braces;
+    std::uint8_t open_brackets;
+    std::uint8_t close_brackets;
+};
+static_assert(sizeof(BracketCounts) == 4);
+
+/**
+ * Every mask and count the pipeline needs for one 64-byte block, computed
+ * from a single load of the block's bytes (Langdale & Lemire's design point: keep
  * the bytes in registers across all derived masks instead of re-loading
  * them per primitive).
  *
@@ -56,6 +76,15 @@ enum class Level {
  * entry_escaped / entry_in_string record the quote-carry state *at the
  * start* of the block, which is exactly what the stop/resume protocol
  * needs to reconstruct a QuoteState on a block boundary.
+ *
+ * Two more things come off the same load. The four bracket counts are the
+ * bracket masks' popcounts outside strings, so per-block bookkeeping (the
+ * validator's balances, the depth skips' block-skip test) adds counts on
+ * full blocks instead of popcounting masks; only a block clipped by a skip
+ * floor or a slice end re-derives them from masks. The probe mask marks
+ * the bytes equal to the stream's probe byte (BatchCarry::probe): label
+ * search sets it to the label's first byte and gets its candidate
+ * prefilter without a second pass over the block.
  */
 struct BlockMasks {
     std::uint64_t unescaped_quotes;
@@ -66,16 +95,25 @@ struct BlockMasks {
     std::uint64_t close_brackets;
     std::uint64_t commas;
     std::uint64_t colons;
+    /** Positions whose byte equals the stream's probe byte. */
+    std::uint64_t probe;
     /** All-ones if the block *starts* inside a string, else zero. */
     std::uint64_t entry_in_string;
+    /** The four bracket masks' popcounts outside strings. */
+    BracketCounts counts;
     /** True if the previous block ended with an active (odd-run) backslash. */
     bool entry_escaped;
 };
 
-/** Quote/escape state threaded through consecutive classify_batch calls. */
+/**
+ * Per-stream state of consecutive classify_batch calls: the quote/escape
+ * carry, threaded from call to call, and the probe byte, which the kernel
+ * only reads (BlockMasks::probe).
+ */
 struct BatchCarry {
     bool escape = false;
     std::uint64_t in_string = 0;  // all-ones or zero
+    std::uint8_t probe = 0;
 };
 
 /**
@@ -122,10 +160,11 @@ struct Kernels {
     /**
      * Batched single-load classification: reads kBatchSize consecutive
      * bytes starting at @p blocks (each byte exactly once) and fills
-     * @p out[0..kBatchBlocks) with every per-block mask. The quote and
-     * escape carries are threaded through the batch internally; @p carry
-     * is consumed for block 0 and left holding the state after the last
-     * block, so back-to-back calls classify a contiguous stream.
+     * @p out[0..kBatchBlocks) with every per-block mask and bracket count.
+     * The quote and escape carries are threaded through the batch
+     * internally; @p carry is consumed for block 0 and left holding the
+     * state after the last block, so back-to-back calls classify a
+     * contiguous stream. carry.probe selects BlockMasks::probe.
      */
     void (*classify_batch)(const std::uint8_t* blocks, BatchCarry& carry,
                            BlockMasks* out);
@@ -144,12 +183,14 @@ const Kernels& avx2_kernels() noexcept;
 /** Same contract for the AVX-512 kernels (falls back to scalar). */
 const Kernels& avx512_kernels() noexcept;
 
-/** True when AVX2+PCLMUL kernels are compiled in and the CPU supports them. */
+/** True when the AVX2 kernels are compiled in and the CPU supports AVX2,
+ *  PCLMUL and POPCNT. */
 bool avx2_available() noexcept;
 
 /**
  * True when the AVX-512 kernels are compiled in and the CPU supports the
- * full required set: AVX-512 F/BW/VL/DQ plus VPCLMULQDQ (Ice Lake+).
+ * full required set: AVX-512 F/BW/VL/DQ plus VPCLMULQDQ (Ice Lake+) and
+ * POPCNT.
  * Earlier AVX-512 hardware (Skylake-X) falls back to the AVX2 tier.
  */
 bool avx512_available() noexcept;

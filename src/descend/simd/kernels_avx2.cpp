@@ -1,11 +1,12 @@
 /**
  * @file
- * AVX2 + PCLMUL implementations of the block kernels.
+ * AVX2 + PCLMUL + POPCNT implementations of the block kernels.
  *
- * This translation unit is compiled with -mavx2 -mpclmul and must only be
- * entered after simd::avx2_available() confirmed hardware support; the
- * dispatcher guarantees that. Each 64-byte block is processed as two
- * 32-byte lanes whose movemasks are concatenated into one u64.
+ * This translation unit is compiled with -mavx2 -mpclmul -mpopcnt (plus
+ * BMI1/2) and must only be entered after simd::avx2_available() confirmed
+ * hardware support; the dispatcher guarantees that. Each 64-byte block is
+ * processed as two 32-byte lanes whose movemasks are concatenated into one
+ * u64.
  *
  * classify_eq is the 5-instruction non-overlapping-groups classifier from
  * Section 4.1 of the paper (shift, two shuffles, cmpeq, movemask);
@@ -15,6 +16,7 @@
 #include <immintrin.h>
 
 #include <cstdint>
+#include <cstring>
 
 #include "descend/simd/dispatch.h"
 #include "descend/util/bits.h"
@@ -130,6 +132,27 @@ std::uint64_t prefix_xor_clmul(std::uint64_t mask)
 }
 
 /**
+ * The four bracket counts outside strings, from the finished masks, packed
+ * into one 32-bit store (little-endian: byte 0 is open_braces). Four
+ * separate byte stores get SLP-vectorized into a lane-insert sequence
+ * that costs more than the popcounts themselves.
+ */
+inline void store_bracket_counts(BlockMasks& masks)
+{
+    const std::uint64_t not_string = ~masks.in_string;
+    const auto count = [not_string](std::uint64_t mask) {
+        return static_cast<std::uint32_t>(_mm_popcnt_u64(mask & not_string));
+    };
+    const std::uint32_t packed = count(masks.open_braces) |
+                                 count(masks.close_braces) << 8 |
+                                 count(masks.open_brackets) << 16 |
+                                 count(masks.close_brackets) << 24;
+    // memcpy, not std::bit_cast: an unoptimized build would emit the
+    // bit_cast instantiation as a weak symbol of this ISA-flagged object.
+    std::memcpy(&masks.counts, &packed, sizeof packed);
+}
+
+/**
  * Batched single-load classifier. Each block's two 32-byte lanes are loaded
  * once and every character mask is derived while they sit in registers:
  * four cmpeqs for quote/backslash/comma/colon, then the case-fold trick for
@@ -137,7 +160,9 @@ std::uint64_t prefix_xor_clmul(std::uint64_t mask)
  * so two more cmpeqs find "any opener"/"any closer", and bit 5 of the
  * original byte (moved to the movemask-visible bit 7 by a 16-bit left
  * shift of 2; the cross-byte shift-ins only reach bits 0-1) discriminates
- * brace from bracket. Quote/escape carries are threaded serially.
+ * brace from bracket. One more cmpeq pair against the stream's probe byte
+ * gives the probe mask. Quote/escape carries are threaded serially, and
+ * the bracket counts outside strings are POPCNTs of the finished masks.
  */
 void classify_batch_avx2(const std::uint8_t* blocks, BatchCarry& carry,
                          BlockMasks* out)
@@ -149,6 +174,11 @@ void classify_batch_avx2(const std::uint8_t* blocks, BatchCarry& carry,
     const __m256i fold_bit = _mm256_set1_epi8(0x20);
     const __m256i open_folded = _mm256_set1_epi8('{');
     const __m256i close_folded = _mm256_set1_epi8('}');
+    const __m256i probe = _mm256_set1_epi8(static_cast<char>(carry.probe));
+    // The carries live in locals: the stores into out[] (the count store
+    // included) must not force a reload of them on the serial chain.
+    bool escape = carry.escape;
+    std::uint64_t in_string_carry = carry.in_string;
 
     for (std::size_t b = 0; b < kBatchBlocks; ++b) {
         const std::uint8_t* block = blocks + b * kBlockSize;
@@ -174,20 +204,23 @@ void classify_batch_avx2(const std::uint8_t* blocks, BatchCarry& carry,
                           _mm256_cmpeq_epi8(hi_folded, close_folded));
         std::uint64_t bit5 = movemask_pair(_mm256_slli_epi16(lo, 2),
                                            _mm256_slli_epi16(hi, 2));
+        std::uint64_t probes = movemask_pair(_mm256_cmpeq_epi8(lo, probe),
+                                             _mm256_cmpeq_epi8(hi, probe));
 
         BlockMasks& masks = out[b];
-        masks.entry_escaped = carry.escape;
-        masks.entry_in_string = carry.in_string;
+        masks.entry_escaped = escape;
+        masks.entry_in_string = in_string_carry;
 
         bool carry_out = false;
-        std::uint64_t escaped =
-            bits::find_escaped(backslashes, carry.escape, carry_out);
-        carry.escape = carry_out;
+        std::uint64_t escaped = bits::find_escaped(backslashes, escape, carry_out);
+        escape = carry_out;
 
-        masks.unescaped_quotes = quotes & ~escaped;
-        masks.in_string = prefix_xor_clmul(masks.unescaped_quotes) ^ carry.in_string;
-        carry.in_string = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(masks.in_string) >> 63);
+        std::uint64_t unescaped = quotes & ~escaped;
+        std::uint64_t in_string = prefix_xor_clmul(unescaped) ^ in_string_carry;
+        in_string_carry =
+            static_cast<std::uint64_t>(static_cast<std::int64_t>(in_string) >> 63);
+        masks.unescaped_quotes = unescaped;
+        masks.in_string = in_string;
 
         masks.open_braces = open_any & bit5;
         masks.open_brackets = open_any & ~bit5;
@@ -195,7 +228,11 @@ void classify_batch_avx2(const std::uint8_t* blocks, BatchCarry& carry,
         masks.close_brackets = close_any & ~bit5;
         masks.commas = commas;
         masks.colons = colons;
+        masks.probe = probes;
+        store_bracket_counts(masks);
     }
+    carry.escape = escape;
+    carry.in_string = in_string_carry;
 }
 
 }  // namespace

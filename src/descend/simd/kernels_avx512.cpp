@@ -3,7 +3,7 @@
  * AVX-512 implementations of the block kernels.
  *
  * This translation unit is compiled with -mavx512f -mavx512bw -mavx512vl
- * -mavx512dq -mvpclmulqdq and must only be entered after
+ * -mavx512dq -mvpclmulqdq -mpopcnt and must only be entered after
  * simd::avx512_available() confirmed hardware support; the dispatcher
  * guarantees that. Each 64-byte block is exactly one ZMM register, so byte
  * comparisons produce the 64-bit position mask directly (no movemask step),
@@ -17,6 +17,7 @@
 #include <immintrin.h>
 
 #include <cstdint>
+#include <cstring>
 
 #include "descend/simd/dispatch.h"
 #include "descend/util/bits.h"
@@ -134,13 +135,36 @@ inline void prefix_xor_x4(const std::uint64_t in[4], std::uint64_t out[4])
 }
 
 /**
+ * The four bracket counts outside strings, from the finished masks, packed
+ * into one 32-bit store (little-endian: byte 0 is open_braces). Four
+ * separate byte stores get SLP-vectorized into a lane-insert sequence
+ * that costs more than the popcounts themselves.
+ */
+inline void store_bracket_counts(BlockMasks& masks)
+{
+    const std::uint64_t not_string = ~masks.in_string;
+    const auto count = [not_string](std::uint64_t mask) {
+        return static_cast<std::uint32_t>(_mm_popcnt_u64(mask & not_string));
+    };
+    const std::uint32_t packed = count(masks.open_braces) |
+                                 count(masks.close_braces) << 8 |
+                                 count(masks.open_brackets) << 16 |
+                                 count(masks.close_brackets) << 24;
+    // memcpy, not std::bit_cast: an unoptimized build would emit the
+    // bit_cast instantiation as a weak symbol of this ISA-flagged object.
+    std::memcpy(&masks.counts, &packed, sizeof packed);
+}
+
+/**
  * Batched single-load classifier: one ZMM load per block, all masks from
  * vpcmpeqb/vptestmb on the in-register bytes. The case-fold trick from the
  * AVX2 tier finds "any opener"/"any closer" (byte | 0x20 maps '{','[' to
  * '{' and '}',']' to '}'); vptestmb against 0x20 splits brace from bracket.
+ * One more vpcmpeqb against the stream's probe byte gives the probe mask.
  * Escape carries are threaded serially (cheap word ops); the eight in-string
  * prefix-XORs run four-at-a-time through VPCLMULQDQ before their serial
- * carry composition.
+ * carry composition, and the bracket counts outside strings are POPCNTs of
+ * the finished masks.
  */
 void classify_batch_avx512(const std::uint8_t* blocks, BatchCarry& carry,
                            BlockMasks* out)
@@ -152,6 +176,7 @@ void classify_batch_avx512(const std::uint8_t* blocks, BatchCarry& carry,
     const __m512i fold_bit = _mm512_set1_epi8(0x20);
     const __m512i open_folded = _mm512_set1_epi8('{');
     const __m512i close_folded = _mm512_set1_epi8('}');
+    const __m512i probe = _mm512_set1_epi8(static_cast<char>(carry.probe));
 
     std::uint64_t backslashes[kBatchBlocks];
     std::uint64_t quotes[kBatchBlocks];
@@ -173,29 +198,39 @@ void classify_batch_avx512(const std::uint8_t* blocks, BatchCarry& carry,
         masks.close_brackets = close_any & ~bit5;
         masks.commas = _mm512_cmpeq_epi8_mask(src, comma);
         masks.colons = _mm512_cmpeq_epi8_mask(src, colon);
+        masks.probe = _mm512_cmpeq_epi8_mask(src, probe);
     }
 
-    // Serial escape threading over the raw masks (word ops only).
+    // Serial escape threading over the raw masks (word ops only). The
+    // carries live in locals so stores into out[] never reload them.
     std::uint64_t unescaped[kBatchBlocks];
+    bool escape = carry.escape;
     for (std::size_t b = 0; b < kBatchBlocks; ++b) {
-        out[b].entry_escaped = carry.escape;
+        out[b].entry_escaped = escape;
         bool carry_out = false;
-        std::uint64_t escaped =
-            bits::find_escaped(backslashes[b], carry.escape, carry_out);
-        carry.escape = carry_out;
+        std::uint64_t escaped = bits::find_escaped(backslashes[b], escape, carry_out);
+        escape = carry_out;
         unescaped[b] = quotes[b] & ~escaped;
         out[b].unescaped_quotes = unescaped[b];
     }
+    carry.escape = escape;
 
     // Four prefix-XORs per VPCLMULQDQ, then the serial in-string carry.
     std::uint64_t pxor[kBatchBlocks];
     prefix_xor_x4(unescaped, pxor);
     prefix_xor_x4(unescaped + 4, pxor + 4);
+    std::uint64_t in_string_carry = carry.in_string;
     for (std::size_t b = 0; b < kBatchBlocks; ++b) {
-        out[b].entry_in_string = carry.in_string;
-        out[b].in_string = pxor[b] ^ carry.in_string;
-        carry.in_string = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(out[b].in_string) >> 63);
+        out[b].entry_in_string = in_string_carry;
+        std::uint64_t in_string = pxor[b] ^ in_string_carry;
+        out[b].in_string = in_string;
+        in_string_carry =
+            static_cast<std::uint64_t>(static_cast<std::int64_t>(in_string) >> 63);
+    }
+    carry.in_string = in_string_carry;
+
+    for (std::size_t b = 0; b < kBatchBlocks; ++b) {
+        store_bracket_counts(out[b]);
     }
 }
 

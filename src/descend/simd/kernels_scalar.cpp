@@ -87,8 +87,10 @@ std::uint64_t prefix_xor_scalar(std::uint64_t mask)
 
 /**
  * Reference batched classifier: one pass over each byte computing every raw
- * character mask, then the serial quote/escape carry threading. All SIMD
- * tiers are pinned bit-for-bit against this implementation.
+ * character mask, then the serial quote/escape carry threading and the
+ * bracket counts outside strings (SWAR popcounts: this tier runs on any
+ * x86-64). All SIMD tiers are pinned bit-for-bit against this
+ * implementation.
  */
 void classify_batch_scalar(const std::uint8_t* blocks, BatchCarry& carry,
                            BlockMasks* out)
@@ -103,6 +105,7 @@ void classify_batch_scalar(const std::uint8_t* blocks, BatchCarry& carry,
         std::uint64_t close_brackets = 0;
         std::uint64_t commas = 0;
         std::uint64_t colons = 0;
+        std::uint64_t probe = 0;
         for (std::size_t i = 0; i < kBlockSize; ++i) {
             std::uint8_t byte = block[i];
             std::uint64_t bit = 1ULL << i;
@@ -114,6 +117,7 @@ void classify_batch_scalar(const std::uint8_t* blocks, BatchCarry& carry,
             close_brackets |= byte == ']' ? bit : 0;
             commas |= byte == ',' ? bit : 0;
             colons |= byte == ':' ? bit : 0;
+            probe |= byte == carry.probe ? bit : 0;
         }
 
         BlockMasks& masks = out[b];
@@ -136,6 +140,15 @@ void classify_batch_scalar(const std::uint8_t* blocks, BatchCarry& carry,
         masks.close_brackets = close_brackets;
         masks.commas = commas;
         masks.colons = colons;
+        masks.probe = probe;
+
+        std::uint64_t not_string = ~masks.in_string;
+        masks.counts = {
+            static_cast<std::uint8_t>(bits::popcount(open_braces & not_string)),
+            static_cast<std::uint8_t>(bits::popcount(close_braces & not_string)),
+            static_cast<std::uint8_t>(bits::popcount(open_brackets & not_string)),
+            static_cast<std::uint8_t>(bits::popcount(close_brackets & not_string)),
+        };
     }
 }
 

@@ -26,10 +26,23 @@ inline int trailing_zeros(std::uint64_t mask) noexcept
     return std::countr_zero(mask);
 }
 
-/** Number of set bits. */
-inline int popcount(std::uint64_t mask) noexcept
+/**
+ * Number of set bits, as a SWAR reduction (pairs, nibbles, bytes, then one
+ * multiply sums the eight byte counts into the top byte).
+ *
+ * The library targets baseline x86-64, where std::popcount compiles to a
+ * call into libgcc's software __popcountdi2; this inline ladder is a
+ * dozen ALU ops with no call. It deliberately has one definition for
+ * every translation unit, POPCNT-flagged or not: two definitions of one
+ * inline function would break the one-definition rule. The ISA-flagged
+ * kernels use _mm_popcnt_u64 directly instead.
+ */
+inline constexpr int popcount(std::uint64_t mask) noexcept
 {
-    return std::popcount(mask);
+    mask -= (mask >> 1) & kEvenBits;
+    mask = (mask & 0x3333333333333333ULL) + ((mask >> 2) & 0x3333333333333333ULL);
+    mask = (mask + (mask >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<int>((mask * 0x0101010101010101ULL) >> 56);
 }
 
 /** Clears the lowest set bit. Mask must be non-zero for a meaningful call. */
@@ -78,7 +91,8 @@ struct SumWithCarry {
 };
 
 /** 64-bit addition with carry-out, used by the escape analysis. */
-inline constexpr SumWithCarry add_overflow(std::uint64_t a, std::uint64_t b) noexcept
+[[gnu::always_inline]] inline constexpr SumWithCarry add_overflow(std::uint64_t a,
+                                                                  std::uint64_t b) noexcept
 {
     std::uint64_t sum = a + b;
     return {sum, sum < a};
@@ -95,9 +109,14 @@ inline constexpr SumWithCarry add_overflow(std::uint64_t a, std::uint64_t b) noe
  * @p carry_out so the next block's analysis can consume it.
  *
  * This is the add-carry propagation of paper Section 4.2 (after simdjson).
+ *
+ * Always inlined, even at -O0: the ISA-flagged kernel translation units
+ * call it, and an out-of-line copy emitted there would be an AVX-built
+ * COMDAT body the linker could pick for every caller (see
+ * tools/isa_leak_check.sh).
  */
-inline constexpr std::uint64_t find_escaped(std::uint64_t backslashes, bool carry_in,
-                                            bool& carry_out) noexcept
+[[gnu::always_inline]] inline constexpr std::uint64_t find_escaped(
+    std::uint64_t backslashes, bool carry_in, bool& carry_out) noexcept
 {
     if (backslashes == 0) {
         carry_out = false;

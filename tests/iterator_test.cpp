@@ -12,6 +12,7 @@
 
 #include "descend/engine/extract.h"
 #include "descend/engine/structural_iterator.h"
+#include "descend/engine/validation.h"
 
 namespace descend {
 namespace {
@@ -164,6 +165,111 @@ TEST_P(IteratorTest, SkipsWorkAcrossManyBlocks)
     auto colon = iter.next();
     EXPECT_EQ(colon.kind, Kind::kColon);
     EXPECT_EQ(iter.label_before(colon.pos), "target");
+}
+
+TEST_P(IteratorTest, SkipFromMidBlockFloorIgnoresBracketsBeforeIt)
+{
+    // The skipped array opens at byte 20 behind twenty openers of its own
+    // kind, and the rest of its first block holds openers and in-string
+    // closers only, so the block-skip test consumes that block whole: its
+    // counts must come from its masks clipped to the floor, not from the
+    // batch's whole-block counts. The body (bracket noise inside strings)
+    // then runs over several whole blocks, which use the batch counts.
+    std::string head = std::string(20, '[') + R"([{"s": "]]]]", "t": [)";
+    head += std::string(simd::kBlockSize - head.size(), ' ');
+    std::string body;
+    for (int i = 0; i < 40; ++i) {
+        body += R"([[], "]]]}", {"k": [0]}],)";
+    }
+    body += "0]}";
+    const std::string text = head + body + "]" + std::string(20, ']');
+    PaddedString doc(text);
+    const std::size_t element_end = 20 + extract_value(doc, 20).size();
+    ASSERT_EQ(element_end, head.size() + body.size() + 1);
+    for (bool to_parent : {false, true}) {
+        StructuralIterator iter(doc, kernels());
+        for (int i = 0; i < 20; ++i) {
+            ASSERT_EQ(iter.next().byte, '[');
+        }
+        if (to_parent) {
+            // The parent's closer is the first of the trailing ']'s.
+            iter.skip_to_parent_close(/*parent_is_object=*/false);
+            auto closer = iter.next();
+            EXPECT_EQ(closer.pos, element_end) << "skip_to_parent_close";
+        } else {
+            auto open = iter.next();
+            ASSERT_EQ(open.pos, 20u);
+            iter.skip_element(open.byte);
+            auto closer = iter.next();
+            EXPECT_EQ(closer.pos, element_end) << "skip_element";
+        }
+        EXPECT_TRUE(iter.status().ok());
+    }
+}
+
+TEST_P(IteratorTest, SliceEndingMidBlockKeepsTailBytesOutOfSkipsAndBalances)
+{
+    // A slice whose last block is partial, inside a buffer whose next
+    // bytes would close the open element and balance the slice: the
+    // skip must run out and the validator must see the imbalance.
+    std::string open_text = "[" + std::string(150, ' ') + "[[1, [2, [3";
+    PaddedString buffer(open_text + "]]]]");
+    PaddedView slice = PaddedView(buffer).subview(0, open_text.size());
+    ASSERT_NE(slice.size() % simd::kBlockSize, 0u);
+    {
+        StructuralValidator validator;
+        StructuralIterator iter(slice, kernels(), &validator);
+        ASSERT_EQ(iter.next().byte, '[');
+        auto open = iter.next();
+        ASSERT_EQ(open.byte, '[');
+        iter.skip_element(open.byte);
+        EXPECT_EQ(iter.status(),
+                  (EngineStatus{StatusCode::kUnbalancedStructure, slice.size()}));
+        EXPECT_EQ(validator.verdict(slice.size()).code,
+                  StatusCode::kUnbalancedStructure);
+    }
+
+    // The balanced prefix of the same buffer: clean, and the tail's
+    // closers never show up as events.
+    std::string closed_text = "[" + std::string(150, ' ') + "[[1], [2]]]";
+    PaddedString closed_buffer(closed_text + "]]]]");
+    PaddedView closed = PaddedView(closed_buffer).subview(0, closed_text.size());
+    StructuralValidator validator;
+    StructuralIterator iter(closed, kernels(), &validator);
+    ASSERT_EQ(iter.next().byte, '[');
+    auto open = iter.next();
+    iter.skip_element(open.byte);
+    auto closer = iter.next();
+    EXPECT_EQ(closer.pos, closed.size() - 1);
+    EXPECT_EQ(iter.next().kind, Kind::kNone);
+    EXPECT_TRUE(iter.status().ok());
+    EXPECT_TRUE(validator.verdict(closed.size()).ok());
+}
+
+TEST_P(IteratorTest, SkipDepthLimitAtBlockBoundary)
+{
+    // The opener that exceeds the skip's depth budget sits at bit 63 of a
+    // block, then at bit 0 of the next: either way the limit is reported
+    // at that opener's offset.
+    for (std::size_t opener_at : {std::size_t{127}, std::size_t{128}}) {
+        const std::size_t budget = 5;
+        // The skipped element opens at byte 0 and nests budget levels; the
+        // last level's opener is placed at @p opener_at.
+        std::string text = "[";
+        for (std::size_t level = 1; level < budget; ++level) {
+            text += "[";
+        }
+        text += std::string(opener_at - text.size(), ' ');
+        text += "[";
+        text += std::string(budget + 1, ']');
+        PaddedString doc(text);
+        StructuralIterator iter(doc, kernels(), nullptr, budget);
+        auto open = iter.next();
+        ASSERT_EQ(open.pos, 0u);
+        iter.skip_element(open.byte);
+        EXPECT_EQ(iter.status(), (EngineStatus{StatusCode::kDepthLimit, opener_at}))
+            << "opener at " << opener_at;
+    }
 }
 
 TEST_P(IteratorTest, StopResumeRoundTrip)

@@ -15,12 +15,17 @@
  *
  * Adversarial inputs cover the cases the carry logic can get wrong: escape
  * runs crossing 64-byte block AND 512-byte batch boundaries, quotes at
- * positions 0/63 of a block, and bytes >= 0x80 (shuffle MSB rule).
+ * positions 0/63 of a block, and bytes >= 0x80 (shuffle MSB rule). The
+ * per-block bracket counts (outside strings) and the probe mask are pinned
+ * the same way, with brackets inside strings and probe bytes of '"', '{'
+ * and 0xbb, including probe hits at bit 63.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -44,15 +49,27 @@ std::vector<const Kernels*> compiled_tiers()
     return tiers;
 }
 
+/** Every hardware-supported tier, scalar first. */
+std::vector<const Kernels*> compiled_tiers_and_scalar()
+{
+    std::vector<const Kernels*> tiers = compiled_tiers();
+    tiers.insert(tiers.begin(), &scalar_kernels());
+    return tiers;
+}
+
 /** Per-byte reference for the quote pipeline, independent of util/bits.h. */
 struct NaiveState {
     bool escaped = false;    // next byte is escaped
     bool in_string = false;  // current position is inside a string
 };
 
+/** Probe bytes every batch comparison runs with: a quote, a bracket and a
+ *  byte >= 0x80 (present in the adversarial streams). */
+constexpr std::uint8_t kProbes[] = {'"', '{', 0xbb};
+
 /** Classifies @p bytes per byte into BlockMasks, threading @p state. */
 std::vector<BlockMasks> naive_batch(const std::uint8_t* bytes, std::size_t blocks,
-                                    NaiveState& state)
+                                    NaiveState& state, std::uint8_t probe)
 {
     std::vector<BlockMasks> out(blocks);
     for (std::size_t b = 0; b < blocks; ++b) {
@@ -72,11 +89,29 @@ std::vector<BlockMasks> naive_batch(const std::uint8_t* bytes, std::size_t block
             if (state.in_string) {
                 masks.in_string |= bit;
             }
+            if (byte == probe) {
+                masks.probe |= bit;
+            }
+            // Brackets are never quotes, so "outside a string" is just the
+            // in-string state at this byte.
+            const bool counted = !state.in_string;
             switch (byte) {
-                case '{': masks.open_braces |= bit; break;
-                case '}': masks.close_braces |= bit; break;
-                case '[': masks.open_brackets |= bit; break;
-                case ']': masks.close_brackets |= bit; break;
+                case '{':
+                    masks.open_braces |= bit;
+                    masks.counts.open_braces += counted;
+                    break;
+                case '}':
+                    masks.close_braces |= bit;
+                    masks.counts.close_braces += counted;
+                    break;
+                case '[':
+                    masks.open_brackets |= bit;
+                    masks.counts.open_brackets += counted;
+                    break;
+                case ']':
+                    masks.close_brackets |= bit;
+                    masks.counts.close_brackets += counted;
+                    break;
                 case ',': masks.commas |= bit; break;
                 case ':': masks.colons |= bit; break;
                 default: break;
@@ -97,6 +132,11 @@ void expect_masks_equal(const BlockMasks& expected, const BlockMasks& actual,
     EXPECT_EQ(expected.close_brackets, actual.close_brackets) << context;
     EXPECT_EQ(expected.commas, actual.commas) << context;
     EXPECT_EQ(expected.colons, actual.colons) << context;
+    EXPECT_EQ(expected.probe, actual.probe) << context;
+    EXPECT_EQ(expected.counts.open_braces, actual.counts.open_braces) << context;
+    EXPECT_EQ(expected.counts.close_braces, actual.counts.close_braces) << context;
+    EXPECT_EQ(expected.counts.open_brackets, actual.counts.open_brackets) << context;
+    EXPECT_EQ(expected.counts.close_brackets, actual.counts.close_brackets) << context;
     EXPECT_EQ(expected.entry_in_string, actual.entry_in_string) << context;
     EXPECT_EQ(expected.entry_escaped, actual.entry_escaped) << context;
 }
@@ -147,6 +187,21 @@ std::vector<std::vector<std::uint8_t>> adversarial_streams()
         streams.push_back(std::move(bytes));
     }
 
+    // Probe bytes at bit 63 of every block ('"', '{' and 0xbb in turn) and
+    // a string per block whose brackets straddle the block boundary as the
+    // quote at bit 63 flips the carried state.
+    {
+        std::vector<std::uint8_t> bytes(2 * kBatchSize, 'a');
+        for (std::size_t b = 0; b < bytes.size() / kBlockSize; ++b) {
+            std::uint8_t* block = bytes.data() + b * kBlockSize;
+            std::memcpy(block, "[}", 2);
+            block[20] = '"';
+            std::memcpy(block + 30, "{]", 2);
+            block[63] = kProbes[b % std::size(kProbes)];
+        }
+        streams.push_back(std::move(bytes));
+    }
+
     // A string opened in batch 0 and closed deep in batch 1 (in-string
     // carry across the batch boundary), with bracket noise inside.
     {
@@ -177,10 +232,12 @@ std::vector<std::uint8_t> random_stream(workloads::Rng& rng, std::size_t batches
 
 /** Runs @p kernels over the whole stream, threading one carry. */
 std::vector<BlockMasks> batch_all(const Kernels& kernels,
-                                  const std::vector<std::uint8_t>& bytes)
+                                  const std::vector<std::uint8_t>& bytes,
+                                  std::uint8_t probe = 0)
 {
     std::vector<BlockMasks> out(bytes.size() / kBlockSize);
     BatchCarry carry;
+    carry.probe = probe;
     for (std::size_t batch = 0; batch * kBatchSize < bytes.size(); ++batch) {
         kernels.classify_batch(bytes.data() + batch * kBatchSize, carry,
                                out.data() + batch * kBatchBlocks);
@@ -191,14 +248,17 @@ std::vector<BlockMasks> batch_all(const Kernels& kernels,
 TEST(BatchKernels, ScalarMatchesNaiveOnAdversarialStreams)
 {
     for (const auto& bytes : adversarial_streams()) {
-        NaiveState naive_state;
-        std::vector<BlockMasks> expected =
-            naive_batch(bytes.data(), bytes.size() / kBlockSize, naive_state);
-        std::vector<BlockMasks> actual = batch_all(scalar_kernels(), bytes);
-        ASSERT_EQ(expected.size(), actual.size());
-        for (std::size_t b = 0; b < expected.size(); ++b) {
-            expect_masks_equal(expected[b], actual[b],
-                               "scalar vs naive, block " + std::to_string(b));
+        for (std::uint8_t probe : kProbes) {
+            NaiveState naive_state;
+            std::vector<BlockMasks> expected = naive_batch(
+                bytes.data(), bytes.size() / kBlockSize, naive_state, probe);
+            std::vector<BlockMasks> actual = batch_all(scalar_kernels(), bytes, probe);
+            ASSERT_EQ(expected.size(), actual.size());
+            for (std::size_t b = 0; b < expected.size(); ++b) {
+                expect_masks_equal(expected[b], actual[b],
+                                   "scalar vs naive, probe " + std::to_string(probe) +
+                                       " block " + std::to_string(b));
+            }
         }
     }
 }
@@ -208,10 +268,11 @@ TEST(BatchKernels, ScalarMatchesNaiveOnRandomStreams)
     workloads::Rng rng(101);
     for (int trial = 0; trial < 200; ++trial) {
         std::vector<std::uint8_t> bytes = random_stream(rng, 3, trial % 2 == 0);
+        const std::uint8_t probe = kProbes[trial % std::size(kProbes)];
         NaiveState naive_state;
         std::vector<BlockMasks> expected =
-            naive_batch(bytes.data(), bytes.size() / kBlockSize, naive_state);
-        std::vector<BlockMasks> actual = batch_all(scalar_kernels(), bytes);
+            naive_batch(bytes.data(), bytes.size() / kBlockSize, naive_state, probe);
+        std::vector<BlockMasks> actual = batch_all(scalar_kernels(), bytes, probe);
         for (std::size_t b = 0; b < expected.size(); ++b) {
             expect_masks_equal(expected[b], actual[b],
                                "scalar vs naive, trial " + std::to_string(trial) +
@@ -224,12 +285,16 @@ TEST(BatchKernels, CompiledTiersMatchScalarOnAdversarialStreams)
 {
     for (const Kernels* tier : compiled_tiers()) {
         for (const auto& bytes : adversarial_streams()) {
-            std::vector<BlockMasks> expected = batch_all(scalar_kernels(), bytes);
-            std::vector<BlockMasks> actual = batch_all(*tier, bytes);
-            for (std::size_t b = 0; b < expected.size(); ++b) {
-                expect_masks_equal(expected[b], actual[b],
-                                   std::string(tier->name) + " vs scalar, block " +
-                                       std::to_string(b));
+            for (std::uint8_t probe : kProbes) {
+                std::vector<BlockMasks> expected =
+                    batch_all(scalar_kernels(), bytes, probe);
+                std::vector<BlockMasks> actual = batch_all(*tier, bytes, probe);
+                for (std::size_t b = 0; b < expected.size(); ++b) {
+                    expect_masks_equal(expected[b], actual[b],
+                                       std::string(tier->name) + " vs scalar, probe " +
+                                           std::to_string(probe) + " block " +
+                                           std::to_string(b));
+                }
             }
         }
     }
@@ -241,14 +306,46 @@ TEST(BatchKernels, CompiledTiersMatchScalarOnRandomStreams)
     for (const Kernels* tier : compiled_tiers()) {
         for (int trial = 0; trial < 300; ++trial) {
             std::vector<std::uint8_t> bytes = random_stream(rng, 2, trial % 2 == 0);
-            std::vector<BlockMasks> expected = batch_all(scalar_kernels(), bytes);
-            std::vector<BlockMasks> actual = batch_all(*tier, bytes);
+            const std::uint8_t probe = kProbes[trial % std::size(kProbes)];
+            std::vector<BlockMasks> expected = batch_all(scalar_kernels(), bytes, probe);
+            std::vector<BlockMasks> actual = batch_all(*tier, bytes, probe);
             for (std::size_t b = 0; b < expected.size(); ++b) {
                 expect_masks_equal(expected[b], actual[b],
                                    std::string(tier->name) + " vs scalar, trial " +
                                        std::to_string(trial) + " block " +
                                        std::to_string(b));
             }
+        }
+    }
+}
+
+TEST(BatchKernels, ProbeHitsAtBit63AndCountsSkipStrings)
+{
+    // Every block ends in a probe byte and holds one bracket of each kind
+    // outside strings and one of each inside a string whose first quote
+    // candidate is escaped (five backslashes), so only the second closes it.
+    std::vector<std::uint8_t> bytes(2 * kBatchSize, ' ');
+    for (std::size_t b = 0; b < bytes.size() / kBlockSize; ++b) {
+        std::uint8_t* block = bytes.data() + b * kBlockSize;
+        std::memcpy(block, "{[]}", 4);
+        block[10] = '"';
+        std::memcpy(block + 11, "{[]}", 4);
+        std::memcpy(block + 20, "\\\\\\\\\\\"", 6);
+        std::memcpy(block + 26, "]}", 2);
+        block[30] = '"';
+        block[63] = 0xbb;
+    }
+    for (const Kernels* tier : compiled_tiers_and_scalar()) {
+        std::vector<BlockMasks> masks = batch_all(*tier, bytes, 0xbb);
+        for (std::size_t b = 0; b < masks.size(); ++b) {
+            const std::string context =
+                std::string(tier->name) + " block " + std::to_string(b);
+            EXPECT_EQ(masks[b].probe, 1ULL << 63) << context;
+            EXPECT_EQ(masks[b].counts.open_braces, 1) << context;
+            EXPECT_EQ(masks[b].counts.close_braces, 1) << context;
+            EXPECT_EQ(masks[b].counts.open_brackets, 1) << context;
+            EXPECT_EQ(masks[b].counts.close_brackets, 1) << context;
+            EXPECT_EQ(std::popcount(masks[b].open_braces), 2) << context;
         }
     }
 }
@@ -265,9 +362,9 @@ TEST(BatchKernels, CarryThreadsAcrossBatchCalls)
     bytes[kBatchSize] = '"';          // escaped quote: does NOT close
     bytes[kBatchSize + 77] = '"';     // closes here
     for (const Kernels* tier : compiled_tiers()) {
-        std::vector<BlockMasks> split = batch_all(*tier, bytes);
+        std::vector<BlockMasks> split = batch_all(*tier, bytes, '"');
         // Whole stream via scalar in one conceptual pass (the reference).
-        std::vector<BlockMasks> reference = batch_all(scalar_kernels(), bytes);
+        std::vector<BlockMasks> reference = batch_all(scalar_kernels(), bytes, '"');
         for (std::size_t b = 0; b < reference.size(); ++b) {
             expect_masks_equal(reference[b], split[b],
                                std::string(tier->name) + " split-call block " +

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "descend/engine/padded_string.h"
+#include "descend/simd/dispatch.h"
 #include "descend/baselines/dom_engine.h"
 #include "descend/baselines/ski_engine.h"
 #include "descend/baselines/surfer_engine.h"
@@ -382,6 +384,108 @@ TEST(Limits, DepthLimitSeesThroughSkippedMixedBracketKinds)
     options.limits = limits;
     EXPECT_TRUE(descend_status("$.b", document, options).ok());
     EXPECT_EQ(descend_status("$.b", document, options), EngineStatus{});
+}
+
+/**
+ * Asserts the DOM oracle's {code, offset} from every main-engine
+ * configuration (all three tiers) on @p document, run as a slice of a
+ * buffer holding @p document followed by @p tail. On a clean run the
+ * match offsets must equal the oracle's too.
+ */
+void expect_dom_status_on_every_tier(const std::string& query,
+                                     const std::string& document,
+                                     const EngineLimits& limits,
+                                     const std::string& tail = "")
+{
+    SCOPED_TRACE("document: " + document + " | tail: " + tail);
+    DomEngine dom(query::Query::parse(query), limits);
+    OffsetSink expected_matches;
+    const EngineStatus expected = dom.run(PaddedString(document), expected_matches);
+    PaddedString buffer(document + tail);
+    const PaddedView slice = PaddedView(buffer).subview(0, document.size());
+    for (const EngineOptions& base : descend_configurations()) {
+        EngineOptions options = base;
+        options.limits = limits;
+        DescendEngine engine(automaton::CompiledQuery::compile(query), options);
+        OffsetSink matches;
+        const EngineStatus status = engine.run(slice, matches);
+        const std::string configuration =
+            std::string(simd::level_name(options.simd)) +
+            (options.head_skipping ? "" : " no-head-skip") +
+            (options.child_skipping ? "" : " no-child-skip");
+        EXPECT_EQ(status, expected) << configuration;
+        if (expected.ok() && status.ok()) {
+            EXPECT_EQ(matches.offsets(), expected_matches.offsets()) << configuration;
+        }
+    }
+}
+
+TEST(BlockCounts, SkipWhoseFirstBlockIsClippedByTheFloor)
+{
+    // "a"'s value opens mid-block behind three unclosed '[' and a '{' that
+    // the skip must not count (they sit below its floor); the rest of
+    // that block has no closer outside strings, so the block-skip test
+    // consumes it whole on its clipped counts. The value then nests
+    // through whole blocks whose counts come from the batch.
+    std::string head = R"([[[{"a": [{"s": "]]]", "t": [)";
+    head += std::string(simd::kBlockSize - head.size(), ' ');
+    std::string nested;
+    for (int i = 0; i < 30; ++i) {
+        nested += R"({"x": [[1, "]]"], [2]]}, )";
+    }
+    nested += "[[[[[[0]]]]]]]}]";
+    const std::string document = head + nested + R"(, "b": 7}]]])";
+    // The deepest opener is at depth 13.
+    for (std::size_t depth : {std::size_t{5}, std::size_t{9}, std::size_t{12},
+                              std::size_t{13}}) {
+        EngineLimits limits;
+        limits.max_depth = depth;
+        expect_dom_status_on_every_tier("$.*.*.*.b", document, limits);
+    }
+    // Unlimited: clean, with the oracle's match.
+    EXPECT_TRUE(dom_status("$.*.*.*.b", document).ok());
+    expect_dom_status_on_every_tier("$.*.*.*.b", document, EngineLimits{});
+}
+
+TEST(BlockCounts, SliceEndingInTheMiddleOfABlock)
+{
+    // The slices end mid-block; the rest of the buffer holds closers and
+    // strings that would balance (or unbalance) them if any byte past the
+    // end bound were counted.
+    const std::string body = R"({"a": [)" + std::string(100, ' ') +
+                             R"([1, [2]], {"b": [[3]]}], "b": 4})";
+    ASSERT_NE(body.size() % simd::kBlockSize, 0u);
+    for (const std::string& tail :
+         {std::string("]]]]}}}}"), std::string("[[[[{{{{"), std::string("\"]]}"),
+          std::string(200, '[')}) {
+        expect_dom_status_on_every_tier("$.b", body, EngineLimits{}, tail);
+        expect_dom_status_on_every_tier("$..b", body, EngineLimits{}, tail);
+        EngineLimits limits;
+        limits.max_depth = 4;  // the '[' of [[3]] exceeds it
+        expect_dom_status_on_every_tier("$.b", body, limits, tail);
+    }
+}
+
+TEST(BlockCounts, DepthLimitHitExactlyAtABlockBoundary)
+{
+    // The opener exceeding the limit sits at byte 63, then 64, then 127
+    // and 128: the last bit of a block and the first of the next, under a
+    // child skip ($.b skips "a") and under plain iteration ($.a.*).
+    const std::size_t limit = 5;
+    for (std::size_t opener_at : {std::size_t{63}, std::size_t{64},
+                                  std::size_t{127}, std::size_t{128}}) {
+        // {"a": [[[[ <spaces> [0]]]]], "b": 1}: the root plus four '[' put
+        // the element at depth 5; the '[' at @p opener_at is depth 6.
+        std::string document = R"({"a": [[[[)";
+        document += std::string(opener_at - document.size(), ' ');
+        document += R"([0]]]]], "b": 1})";
+        EngineLimits limits;
+        limits.max_depth = limit;
+        const EngineStatus dom = dom_status("$.b", document, limits);
+        EXPECT_EQ(dom, (EngineStatus{StatusCode::kDepthLimit, opener_at}));
+        expect_dom_status_on_every_tier("$.b", document, limits);
+        expect_dom_status_on_every_tier("$.a.*", document, limits);
+    }
 }
 
 TEST(Malformed, RaiseStatusBridgesToExceptions)

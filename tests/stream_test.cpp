@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "descend/descend.h"
 #include "descend/workloads/datasets.h"
 
@@ -441,9 +443,12 @@ TEST(StreamDifferential, WorkloadDatasetsAsNdjson)
 
 PaddedString roundtrip_through_file(const std::string& content)
 {
+    // The pid keeps concurrent runs of this binary (one ctest entry per
+    // kernel tier) from writing and removing each other's file.
     std::filesystem::path path =
         std::filesystem::temp_directory_path() /
-        ("descend_stream_test_" + std::to_string(content.size()) + ".json");
+        ("descend_stream_test_" + std::to_string(::getpid()) + "_" +
+         std::to_string(content.size()) + ".json");
     {
         std::ofstream out(path, std::ios::binary);
         out.write(content.data(),
