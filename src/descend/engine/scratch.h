@@ -1,8 +1,8 @@
 /**
  * @file
- * Reusable per-worker run scratch, shared by every long-lived execution
- * path (the NDJSON stream executor's workers and the serve daemon's
- * request workers).
+ * Reusable per-worker run scratch for long-lived execution paths (the
+ * serve daemon's request workers). The NDJSON stream scheduler needs none
+ * of it: its workers append matches straight into per-batch buffers.
  *
  * A one-shot engine run allocates its working state fresh: an OffsetSink
  * grows a new offsets vector, and a request body is copied into a new
@@ -143,15 +143,12 @@ private:
 };
 
 /**
- * Everything one worker reuses across the records/requests it serves:
- * the primary match collector, a secondary collector for re-runs (the
- * stream executor's scalar-tier retry), and a padded body arena (the
- * serve daemon copies each request body through it; the zero-copy stream
- * path never needs it and leaves it unallocated).
+ * Everything one worker reuses across the requests it serves: the match
+ * collector and a padded body arena (each request body is copied through
+ * it; a zero-copy run never needs it and leaves it unallocated).
  */
 struct RunScratch {
     ReusableOffsetSink matches;
-    ReusableOffsetSink retry_matches;
     PaddedArena document;
 };
 

@@ -4,20 +4,13 @@
  * N queries × M records off ONE splitter pass and one classification pass
  * per record.
  *
- * Mirrors stream/stream_executor.h: workers claim contiguous batches of
- * records from an atomic cursor and run the fused engine zero-copy over
- * each record's subview; per-(query, record) match sets are buffered per
- * batch and replayed in document order — records ascending, queries
- * ascending within a record, offsets ascending within a query — after the
- * workers join, so the sink observes a deterministic order for every
- * thread count and never needs to be thread-safe.
- *
- * Failure semantics are per record and inherited from StreamOptions'
- * ErrorPolicy: a record whose fused run fails (the document stream is one
- * byte stream — a malformed record fails the set as a whole) contributes
- * no matches for ANY query; kSkipRecord reports it and keeps going,
- * kFailFast stops the stream at the first failing record in document
- * order, exactly as the single-query executor does.
+ * A front end of the shared record scheduler (stream/stream_executor.h,
+ * which documents the batching, replay, budget and retry contract): a
+ * record runs on the set's FusedEngine, and the replay delivers each
+ * record's matches queries ascending, offsets ascending within a query —
+ * a deterministic order for every thread count. The document stream is
+ * one byte stream, so a record whose fused run fails fails the set as a
+ * whole and contributes no matches for ANY query.
  */
 #pragma once
 

@@ -1,15 +1,23 @@
 /**
  * @file
- * Parallel sharded execution of one compiled query over a record stream.
+ * Parallel sharded execution of compiled queries over a record stream.
  *
- * The executor owns a single DescendEngine — the query is compiled once and
- * its automaton shared read-only by every worker (DescendEngine's const run
- * paths are stateless). Workers claim contiguous batches of records from an
- * atomic cursor and run the engine zero-copy over each record's PaddedView
- * subview of the one stream buffer; per-record results are buffered per
- * batch and replayed in document order through the StreamSink after the
- * workers join, so the sink observes exactly the sequential order and never
- * needs to be thread-safe.
+ * One record scheduler (stream_executor.cpp) serves two front ends:
+ * StreamExecutor below runs one query on a DescendEngine, and
+ * multi::MultiStreamExecutor (multi/multi_stream.h) runs a query set on a
+ * FusedEngine. They differ only in the engine a record runs on, that
+ * engine's scalar-tier twin, and how a buffered (query, offset) reaches
+ * their sink; everything below is the scheduler's contract and holds for
+ * both.
+ *
+ * The engine is built once and shared read-only by every worker (its
+ * const run paths are stateless). Workers claim contiguous batches of
+ * records from an atomic cursor and run the engine zero-copy over each
+ * record's PaddedView subview of the one stream buffer. A batch buffers
+ * its records' outcomes and one flat (query, offset) match buffer; after
+ * the workers join, the batches are replayed in document order through
+ * the front end's sink, so the sink observes exactly the sequential order
+ * and never needs to be thread-safe.
  *
  * Failure semantics are deterministic for every thread count:
  *  - ErrorPolicy::kSkipRecord — every failed record is reported through
@@ -21,12 +29,15 @@
  *    claiming work beyond it, and the merge emits all matches before that
  *    record, then exactly one on_record_error() for it. Records after the
  *    floor are never reported, even if a worker already ran them.
+ *  - ErrorPolicy::kRetryScalar — see the enumerator.
+ *  - StreamOptions::stream_budget and record_budget_ms — see the fields.
  */
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "descend/automaton/compiled.h"
@@ -54,7 +65,11 @@ enum class ErrorPolicy : std::uint8_t {
      * StreamResult::tier_divergences — it indicates a kernel-tier bug, and
      * the scalar verdict is the one reported. Governance failures
      * (deadline/cancel) are never retried: the scalar tier is slower, so
-     * the re-run could only fail the same way later.
+     * the re-run could only fail the same way later. A re-run that is
+     * itself cut short by governance has no verdict: if the stream budget
+     * tripped, the record is unfinished (the budget floor, as for a first
+     * run); otherwise the original tier's verdict stands and no divergence
+     * is counted.
      */
     kRetryScalar,
 };
@@ -122,7 +137,8 @@ struct StreamResult {
     std::size_t first_error_span_begin = kNone;
     /** Records re-run on the scalar tier (ErrorPolicy::kRetryScalar). */
     std::size_t retried_records = 0;
-    /** Scalar re-runs whose outcome differed from the original tier's. */
+    /** Scalar re-runs whose verdict differed from the original tier's (a
+     *  re-run cut short by governance has none). */
     std::size_t tier_divergences = 0;
     /** True when the stream budget stopped the run before every record
      *  finished; the floor record's synthesized governance error is then
@@ -185,5 +201,48 @@ private:
     DescendEngine engine_;
     StreamOptions options_;
 };
+
+namespace detail {
+
+/** One buffered match: its query's index in the set (always 0 for a
+ *  single query) and its intra-record offset. */
+struct QueryMatch {
+    std::size_t query;
+    std::size_t offset;
+};
+
+/** How a front end's sink receives the replay: called after the workers
+ *  join, on the calling thread, records ascending. */
+class RecordReplay {
+public:
+    /** An ok record's matches [first, last) (never empty), in the
+     *  engine's report order. */
+    virtual void on_matches(std::size_t record, const QueryMatch* first,
+                            const QueryMatch* last) = 0;
+    virtual void on_record_error(std::size_t record,
+                                 const EngineStatus& status) = 0;
+
+protected:
+    ~RecordReplay() = default;
+};
+
+/** Builds @p engine's twin under @p options (the scalar tier, for
+ *  kRetryScalar); called at most once per worker, on its first retry. */
+template <class Engine>
+using ScalarTwin = std::unique_ptr<Engine> (*)(const Engine& engine,
+                                               const EngineOptions& options);
+
+/**
+ * The record scheduler behind both front ends (see the file comment).
+ * @p engine was built with options.engine. Defined in stream_executor.cpp
+ * for Engine = DescendEngine and multi::FusedEngine.
+ */
+template <class Engine>
+StreamResult run_sharded(const Engine& engine, ScalarTwin<Engine> scalar_twin,
+                         const StreamOptions& options, PaddedView input,
+                         const std::vector<RecordSpan>& records,
+                         RecordReplay& replay);
+
+}  // namespace detail
 
 }  // namespace descend::stream

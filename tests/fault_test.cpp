@@ -9,6 +9,8 @@
  *  - one-shot arming semantics (skip counts, hit/fired accounting),
  *  - a deterministic engine-visible failure for every governance
  *    StatusCode (kDeadlineExceeded, kCancelled) via the batch-refill site,
+ *  - a scalar-tier retry cut short by governance keeps the original
+ *    tier's verdict, on both stream front ends,
  *  - the from_file I/O failpoints (open, short read, mmap fall-through),
  *  - DESCEND_FAULT_SPEC-style spec parsing.
  */
@@ -17,9 +19,11 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "descend/descend.h"
 #include "descend/fault/failpoints.h"
+#include "descend/multi/multi_stream.h"
 #include "descend/stream/stream_executor.h"
 #include "descend/util/errors.h"
 
@@ -146,6 +150,71 @@ TEST_F(FaultTest, StreamRecordFailsWithForcedCode)
     // No stream budget was set: a governance-coded record failure counts
     // as a regular record error, not a budget stop.
     EXPECT_FALSE(result.budget_stopped);
+}
+
+using RecordErrors = std::vector<stream::CollectingStreamSink::RecordError>;
+
+/** One threads = 1 run of @p text through either stream front end. */
+stream::StreamResult run_front_end(bool fused, const PaddedString& text,
+                                   stream::ErrorPolicy policy,
+                                   RecordErrors& errors)
+{
+    stream::StreamOptions options;
+    options.threads = 1;
+    options.policy = policy;
+    if (fused) {
+        multi::MultiStreamExecutor executor =
+            multi::MultiStreamExecutor::for_queries({"$..id"}, options);
+        multi::CollectingMultiStreamSink sink;
+        stream::StreamResult result = executor.run(text, sink);
+        errors = sink.errors();
+        return result;
+    }
+    stream::StreamExecutor executor =
+        stream::StreamExecutor::for_query("$..id", options);
+    stream::CollectingStreamSink sink;
+    stream::StreamResult result = executor.run(text, sink);
+    errors = sink.errors();
+    return result;
+}
+
+TEST_F(FaultTest, ScalarRetryCutShortKeepsTheOriginalVerdict)
+{
+    // Record 1 is malformed, so kRetryScalar re-runs it on the scalar
+    // tier; a deadline forced at that re-run's first refill leaves the
+    // re-run without a verdict. No stream budget is set, so the record
+    // keeps the original tier's error and no divergence is counted.
+    PaddedString text("{\"id\":0}\n{\"id\":[}\n");
+    for (bool fused : {false, true}) {
+        SCOPED_TRACE(fused ? "MultiStreamExecutor" : "StreamExecutor");
+        fault::disarm_all();
+        RecordErrors original;
+        run_front_end(fused, text, stream::ErrorPolicy::kSkipRecord, original);
+        ASSERT_EQ(original.size(), 1u);
+        ASSERT_EQ(original.front().record, 1u);
+        ASSERT_FALSE(original.front().status.is_governance());
+        // A retry run repeats these refills first; the next one is the
+        // scalar re-run's first.
+        const std::uint64_t refills = fault::hits(fault::Site::kBatchRefill);
+
+        fault::disarm_all();
+        fault::arm(fault::Site::kBatchRefill, refills,
+                   static_cast<std::uint64_t>(StatusCode::kDeadlineExceeded));
+        RecordErrors errors;
+        stream::StreamResult result = run_front_end(
+            fused, text, stream::ErrorPolicy::kRetryScalar, errors);
+        EXPECT_EQ(fault::fired_count(fault::Site::kBatchRefill), 1u);
+        EXPECT_EQ(errors, original);
+        EXPECT_EQ(result.failed_records, 1u);
+        EXPECT_EQ(result.first_error, original.front().status);
+        EXPECT_EQ(result.retried_records, 1u);
+        EXPECT_EQ(result.tier_divergences, 0u);
+        EXPECT_EQ(result.error_tally[static_cast<std::size_t>(
+                      StatusCode::kDeadlineExceeded)],
+                  0u);
+        EXPECT_FALSE(result.budget_stopped);
+        EXPECT_EQ(result.matches, 1u);
+    }
 }
 
 class FromFileFaultTest : public FaultTest {

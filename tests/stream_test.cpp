@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <unistd.h>
 
 #include "descend/descend.h"
+#include "descend/multi/multi_stream.h"
 #include "descend/workloads/datasets.h"
 
 namespace descend {
@@ -401,6 +403,115 @@ TEST(StreamExecutor, EngineLimitsApplyPerRecord)
     EXPECT_EQ(result.first_error_record, 1u);
     EXPECT_EQ(result.first_error.code, StatusCode::kMatchLimit);
     EXPECT_EQ(result.matches, 2u);
+}
+
+// ------------------------------------------------- front-end agreement
+
+/** What one stream run delivered, comparable across the front ends. */
+struct FrontEndRun {
+    std::vector<CollectingStreamSink::Match> matches;
+    std::vector<CollectingStreamSink::RecordError> errors;
+    StreamResult result;
+};
+
+FrontEndRun run_front_end(bool fused, const std::string& query,
+                          const PaddedString& input,
+                          const StreamOptions& options)
+{
+    FrontEndRun run;
+    if (!fused) {
+        StreamExecutor executor =
+            StreamExecutor::for_query(query, options);
+        CollectingStreamSink sink;
+        run.result = executor.run(input, sink);
+        run.matches = sink.matches();
+        run.errors = sink.errors();
+        return run;
+    }
+    multi::MultiStreamExecutor executor =
+        multi::MultiStreamExecutor::for_queries({query}, options);
+    multi::CollectingMultiStreamSink sink;
+    run.result = executor.run(input, sink);
+    for (const multi::CollectingMultiStreamSink::Match& match : sink.matches()) {
+        EXPECT_EQ(match.query, 0u);
+        run.matches.push_back({match.record, match.offset});
+    }
+    run.errors = sink.errors();
+    return run;
+}
+
+TEST(StreamFrontEnds, SingleQueryAndOneQuerySetAgree)
+{
+    // StreamExecutor and a one-query MultiStreamExecutor share one record
+    // scheduler: over the same streams, under every policy and governance
+    // setting, they must deliver and report exactly the same.
+    std::string clean = well_formed_stream(12);
+    std::string malformed = clean;
+    malformed.replace(malformed.find("{\"id\":5,"), 8, "{\"id\":[}");
+    struct Governance {
+        const char* name;
+        RunBudget stream_budget;
+        std::uint64_t record_budget_ms;
+    };
+    const Governance governance[] = {
+        {"none", RunBudget{}, 0},
+        {"expired stream budget",
+         RunBudget{RunBudget::Clock::now() - std::chrono::hours(1), nullptr},
+         0},
+        {"record budget", RunBudget{}, 60000},
+    };
+    for (const std::string* text : {&clean, &malformed}) {
+        PaddedString input(*text);
+        for (const Governance& g : governance) {
+            for (ErrorPolicy policy :
+                 {ErrorPolicy::kSkipRecord, ErrorPolicy::kFailFast,
+                  ErrorPolicy::kRetryScalar}) {
+                for (std::size_t threads : {1u, 3u}) {
+                    for (std::size_t batch : {1u, 3u}) {
+                        SCOPED_TRACE(std::string(text == &clean ? "clean"
+                                                                : "malformed") +
+                                     " governance=" + g.name +
+                                     " policy=" +
+                                     std::to_string(static_cast<int>(policy)) +
+                                     " threads=" + std::to_string(threads) +
+                                     " batch=" + std::to_string(batch));
+                        StreamOptions options;
+                        options.threads = threads;
+                        options.records_per_batch = batch;
+                        options.policy = policy;
+                        options.stream_budget = g.stream_budget;
+                        options.record_budget_ms = g.record_budget_ms;
+                        FrontEndRun single =
+                            run_front_end(false, "$..id", input, options);
+                        FrontEndRun fused =
+                            run_front_end(true, "$..id", input, options);
+                        EXPECT_EQ(single.matches, fused.matches);
+                        EXPECT_EQ(single.errors, fused.errors);
+                        const StreamResult& a = single.result;
+                        const StreamResult& b = fused.result;
+                        EXPECT_EQ(a.records, b.records);
+                        EXPECT_EQ(a.matches, b.matches);
+                        EXPECT_EQ(a.failed_records, b.failed_records);
+                        EXPECT_EQ(a.first_error_record, b.first_error_record);
+                        EXPECT_EQ(a.first_error, b.first_error);
+                        EXPECT_EQ(a.first_error_span_begin,
+                                  b.first_error_span_begin);
+                        EXPECT_EQ(a.retried_records, b.retried_records);
+                        EXPECT_EQ(a.tier_divergences, b.tier_divergences);
+                        EXPECT_EQ(a.budget_stopped, b.budget_stopped);
+                        EXPECT_EQ(a.error_tally, b.error_tally);
+                        // Each setting is exercised: an expired budget
+                        // stops at record 0, else the malformed record 5
+                        // is the first error.
+                        EXPECT_EQ(a.first_error_record,
+                                  g.stream_budget.active() ? 0u
+                                  : text == &malformed     ? 5u
+                                                           : StreamResult::kNone);
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------- workload differential

@@ -119,4 +119,38 @@ case "$msg" in
     *) echo "FAIL: stream error lacks absolute position: $msg" >&2; fail=1 ;;
 esac
 
+# NDJSON stdout, exactly: a single query prints "record R: ", a set
+# prints "query Q record R: " (records ascending, queries ascending within
+# a record), and the summary lines are shared.
+same_stdout() {
+    local label="$1" want="$2"; shift 2
+    local got
+    got="$("$@" 2>/dev/null)"
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: $label: expected '$want', got '$got' ($*)" >&2
+        fail=1
+    else
+        echo "ok: $label"
+    fi
+}
+printf '{"id":1,"a":{"id":[2, 3]}}\n{"id":"x"}\n' > "$WORK/two.ndjson"
+SET=(--query '$..id' --query '$.id')
+SINGLE_VALUES=$'record 0: 1\nrecord 0: [2, 3]\nrecord 1: "x"'
+SET_VALUES=$'query 0 record 0: 1\nquery 0 record 0: [2, 3]\nquery 1 record 0: 1\nquery 0 record 1: "x"\nquery 1 record 1: "x"'
+same_stdout "ndjson values"           "$SINGLE_VALUES" "$CLI" --ndjson '$..id' "$WORK/two.ndjson"
+same_stdout "ndjson set values"       "$SET_VALUES" "$CLI" --ndjson "${SET[@]}" "$WORK/two.ndjson"
+same_stdout "ndjson offsets" $'record 0: 6\nrecord 0: 18\nrecord 1: 6' \
+    "$CLI" --ndjson --offsets '$..id' "$WORK/two.ndjson"
+same_stdout "ndjson set offsets" \
+    $'query 0 record 0: 6\nquery 0 record 0: 18\nquery 1 record 0: 6\nquery 0 record 1: 6\nquery 1 record 1: 6' \
+    "$CLI" --ndjson --offsets "${SET[@]}" "$WORK/two.ndjson"
+same_stdout "ndjson slices"           "$SINGLE_VALUES" "$CLI" --ndjson --project=slices '$..id' "$WORK/two.ndjson"
+same_stdout "ndjson set slices"       "$SET_VALUES" "$CLI" --ndjson --project=slices "${SET[@]}" "$WORK/two.ndjson"
+same_stdout "ndjson limit" $'record 0: 1\nrecord 0: [2, 3]\n... (1 more)' \
+    "$CLI" --ndjson --limit 2 '$..id' "$WORK/two.ndjson"
+same_stdout "ndjson set limit" $'query 0 record 0: 1\nquery 0 record 0: [2, 3]\n... (3 more)' \
+    "$CLI" --ndjson --limit 2 "${SET[@]}" "$WORK/two.ndjson"
+same_stdout "ndjson count"            "3" "$CLI" --ndjson --count '$..id' "$WORK/two.ndjson"
+same_stdout "ndjson set count"        "5" "$CLI" --ndjson --count "${SET[@]}" "$WORK/two.ndjson"
+
 exit $fail

@@ -79,6 +79,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -275,41 +276,44 @@ int exit_code_for(const EngineStatus& status)
 }
 
 /**
- * Prints projected values for one document view per --project mode:
- * slices verbatim (with the caller's line label), ndjson as bare compact
- * lines, count as a trailing totals line. Tallies feed the caller's obs
- * registry through the extender.
+ * Prints projected values per --project mode: slices verbatim (with the
+ * caller's line label), ndjson as bare compact lines, count as a trailing
+ * totals line. Tallies feed the extender's obs registry; --limit applies
+ * across every print() of one printer.
  */
 struct ProjectionPrinter {
     const CliOptions& options;
-    project::SpanExtender extender;
     std::size_t shown = 0;
     std::size_t suppressed = 0;
     std::size_t values = 0;
     std::size_t bytes = 0;
     std::string scratch;
 
-    ProjectionPrinter(const CliOptions& options, PaddedView view,
-                      const simd::Kernels& kernels, obs::Counters* counters)
-        : options(options), extender(view, kernels, counters)
+    explicit ProjectionPrinter(const CliOptions& options) : options(options) {}
+
+    /** Applies --limit to one more output line: false (and tallied for
+     *  the elision marker) once the limit is reached. */
+    bool admit()
     {
+        if (options.limit != 0 && shown >= options.limit) {
+            ++suppressed;
+            return false;
+        }
+        ++shown;
+        return true;
     }
 
-    /** One match at @p offset (relative to the view); @p label prefixes
+    /** One match at @p offset of @p extender's view; @p label prefixes
      *  slice lines ("query 0: " etc.), never ndjson lines. */
-    void print(std::size_t offset, const char* label)
+    void print(project::SpanExtender& extender, std::size_t offset,
+               const char* label)
     {
         const project::ValueSpan span = extender.extend(offset);
         ++values;
         bytes += span.size();
-        if (options.project == project::ProjectionMode::kCount) {
+        if (options.project == project::ProjectionMode::kCount || !admit()) {
             return;
         }
-        if (options.limit != 0 && shown >= options.limit) {
-            ++suppressed;
-            return;
-        }
-        ++shown;
         const std::string_view slice = extender.slice(span);
         if (options.project == project::ProjectionMode::kNdjson) {
             scratch.clear();
@@ -408,10 +412,11 @@ int run_on(const CliOptions& options, const JsonPathEngine& engine,
         obs::ScopedPhaseTimer extract_timer(&stats.timings, obs::Phase::kExtract);
         const simd::Kernels& kernels =
             simd::kernels_for(options.engine_options.simd);
-        ProjectionPrinter printer(options, document, kernels, &stats.counters);
+        project::SpanExtender extender(document, kernels, &stats.counters);
+        ProjectionPrinter printer(options);
         const std::string label = std::string(prefix) + separator;
         for (std::size_t offset : sink.offsets()) {
-            printer.print(offset, label.c_str());
+            printer.print(extender, offset, label.c_str());
         }
         printer.finish(label.c_str());
     } else {
@@ -482,12 +487,13 @@ int run_multi(const CliOptions& options, const multi::FusedEngine& engine,
             // in set order (document order within a query).
             const simd::Kernels& kernels =
                 simd::kernels_for(options.engine_options.simd);
-            ProjectionPrinter printer(options, document, kernels,
-                                      &stats.counters);
+            project::SpanExtender extender(document, kernels,
+                                           &stats.counters);
+            ProjectionPrinter printer(options);
             const std::string label = std::string(prefix) + separator +
                                       "query " + std::to_string(q) + ": ";
             for (std::size_t offset : offsets) {
-                printer.print(offset, label.c_str());
+                printer.print(extender, offset, label.c_str());
             }
             printer.finish(label.c_str());
             continue;
@@ -521,8 +527,8 @@ int run_multi(const CliOptions& options, const multi::FusedEngine& engine,
     return 0;
 }
 
-/** Builds the stream options shared by both NDJSON paths: error policy,
- *  stream budget, and the per-record deadline (--deadline-ms). */
+/** Builds the stream options: error policy, stream budget, and the
+ *  per-record deadline (--deadline-ms). */
 stream::StreamOptions make_stream_options(const CliOptions& options)
 {
     stream::StreamOptions stream_options;
@@ -541,17 +547,110 @@ stream::StreamOptions make_stream_options(const CliOptions& options)
 }
 
 /**
+ * Prints each replayed match of either stream front end: "record R: "
+ * for one query, "query Q record R: " for a set. Record offsets are
+ * intra-record; extraction and span extension run over the record's
+ * SUBVIEW, so a scan can never cross into the following record's slice
+ * (the record-boundary contract, span.h).
+ */
+class NdjsonPrinter final : public stream::StreamSink,
+                            public multi::MultiStreamSink {
+public:
+    NdjsonPrinter(const CliOptions& options, const PaddedString& input,
+                  const std::vector<stream::RecordSpan>& records,
+                  const simd::Kernels& kernels)
+        : options_(options),
+          input_(input),
+          records_(records),
+          kernels_(kernels),
+          printer_(options)
+    {
+    }
+
+    void on_match(std::size_t record, std::size_t offset) override
+    {
+        char label[48];
+        std::snprintf(label, sizeof label, "record %zu: ", record);
+        print(label, record, offset);
+    }
+
+    void on_match(std::size_t query, std::size_t record,
+                  std::size_t offset) override
+    {
+        char label[80];
+        std::snprintf(label, sizeof label, "query %zu record %zu: ", query,
+                      record);
+        print(label, record, offset);
+    }
+
+    void on_record_error(std::size_t record,
+                         const EngineStatus& status) override
+    {
+        // Absolute stream position: span begin + intra-record offset, so
+        // the byte can be seeked to directly in the input file.
+        std::fprintf(stderr, "descend-cli: record %zu at byte %zu: %s\n",
+                     record, records_[record].begin + status.offset,
+                     to_string(status).c_str());
+    }
+
+    /** The elision marker and the count-mode totals. */
+    void finish() { printer_.finish(""); }
+
+    obs::Counters projection_counters;
+
+private:
+    void print(const char* label, std::size_t record, std::size_t offset)
+    {
+        if (options_.count_only) {
+            return;
+        }
+        const stream::RecordSpan& span = records_[record];
+        const PaddedView view =
+            PaddedView(input_).subview(span.begin, span.size());
+        if (options_.project != project::ProjectionMode::kNone) {
+            project::SpanExtender extender(view, kernels_,
+                                           &projection_counters);
+            printer_.print(extender, offset, label);
+            return;
+        }
+        if (!printer_.admit()) {
+            return;
+        }
+        if (options_.offsets_only) {
+            std::printf("%s%zu\n", label, offset);
+        } else {
+            std::string_view value = extract_value(view, offset);
+            std::printf("%s%.*s\n", label, static_cast<int>(value.size()),
+                        value.data());
+        }
+    }
+
+    const CliOptions& options_;
+    const PaddedString& input_;
+    const std::vector<stream::RecordSpan>& records_;
+    const simd::Kernels& kernels_;
+    ProjectionPrinter printer_;
+};
+
+/**
  * NDJSON: SIMD record splitting + parallel sharded execution over the one
- * padded input buffer (see src/descend/stream). Matches arrive through the
- * stream sink in document order regardless of the thread count.
+ * padded input buffer (see src/descend/stream) — one query on the stream
+ * executor, a set on the fused one (N queries x M records off one splitter
+ * pass). Matches arrive in document order regardless of the thread count.
  */
 int run_ndjson(const CliOptions& options, const PaddedString& input)
 {
-    stream::StreamOptions stream_options = make_stream_options(options);
+    const stream::StreamOptions stream_options = make_stream_options(options);
     obs::PhaseStopwatch compile_watch;
-    stream::StreamExecutor executor(
-        automaton::CompiledQuery::compile(options.queries.front()),
-        stream_options);
+    std::optional<stream::StreamExecutor> single;
+    std::optional<multi::MultiStreamExecutor> fused;
+    if (options.queries.size() > 1) {
+        fused.emplace(multi::MultiStreamExecutor::for_queries(options.queries,
+                                                              stream_options));
+    } else {
+        single.emplace(stream::StreamExecutor::for_query(options.queries.front(),
+                                                         stream_options));
+    }
     const std::uint64_t compile_ns = compile_watch.elapsed_ns();
 
     const simd::Kernels& kernels =
@@ -561,236 +660,18 @@ int run_ndjson(const CliOptions& options, const PaddedString& input)
         stream::split_records(input, kernels);
     const std::uint64_t split_ns = split_watch.elapsed_ns();
 
-    /** Prints each match as it is replayed. Record offsets are
-     *  intra-record; extraction and span extension run over the record's
-     *  SUBVIEW, so a scan can never cross into the following record's
-     *  slice (the record-boundary contract, span.h). */
-    struct PrintingSink final : stream::StreamSink {
-        const CliOptions& options;
-        const PaddedString& input;
-        const std::vector<stream::RecordSpan>& records;
-        const simd::Kernels& kernels;
-        obs::Counters projection_counters;
-        std::size_t projected_values = 0;
-        std::size_t projected_bytes = 0;
-        std::size_t shown = 0;
-        std::size_t suppressed = 0;
-        std::string scratch;
-
-        PrintingSink(const CliOptions& options, const PaddedString& input,
-                     const std::vector<stream::RecordSpan>& records,
-                     const simd::Kernels& kernels)
-            : options(options), input(input), records(records), kernels(kernels)
-        {
-        }
-
-        PaddedView record_view(std::size_t record) const
-        {
-            const stream::RecordSpan& span = records[record];
-            return PaddedView(input).subview(span.begin, span.end - span.begin);
-        }
-
-        void on_match(std::size_t record, std::size_t offset) override
-        {
-            if (options.count_only) {
-                return;
-            }
-            if (options.project != project::ProjectionMode::kNone) {
-                project::SpanExtender extender(record_view(record), kernels,
-                                               &projection_counters);
-                const project::ValueSpan span = extender.extend(offset);
-                ++projected_values;
-                projected_bytes += span.size();
-                if (options.project == project::ProjectionMode::kCount) {
-                    return;
-                }
-                if (options.limit != 0 && shown >= options.limit) {
-                    ++suppressed;
-                    return;
-                }
-                ++shown;
-                const std::string_view slice = extender.slice(span);
-                if (options.project == project::ProjectionMode::kNdjson) {
-                    scratch.clear();
-                    project::append_compact_value(slice, scratch);
-                    scratch.push_back('\n');
-                    std::fwrite(scratch.data(), 1, scratch.size(), stdout);
-                } else {
-                    std::printf("record %zu: %.*s\n", record,
-                                static_cast<int>(slice.size()), slice.data());
-                }
-                return;
-            }
-            if (options.limit != 0 && shown >= options.limit) {
-                ++suppressed;
-                return;
-            }
-            ++shown;
-            if (options.offsets_only) {
-                std::printf("record %zu: %zu\n", record, offset);
-            } else {
-                std::string_view value = extract_value(record_view(record), offset);
-                std::printf("record %zu: %.*s\n", record,
-                            static_cast<int>(value.size()), value.data());
-            }
-        }
-
-        void on_record_error(std::size_t record,
-                             const EngineStatus& status) override
-        {
-            // Absolute stream position: span begin + intra-record offset,
-            // so the byte can be seeked to directly in the input file.
-            std::fprintf(stderr, "descend-cli: record %zu at byte %zu: %s\n",
-                         record, records[record].begin + status.offset,
-                         to_string(status).c_str());
-        }
-    };
-
-    PrintingSink sink(options, input, records, kernels);
-    stream::StreamResult result = executor.run_records(input, records, sink);
-    if (sink.suppressed != 0) {
-        std::printf("... (%zu more)\n", sink.suppressed);
-    }
+    NdjsonPrinter sink(options, input, records, kernels);
+    stream::StreamResult result =
+        fused ? fused->run_records(input, records, sink)
+              : single->run_records(input, records, sink);
+    sink.finish();
     if (options.count_only) {
         std::printf("%zu\n", result.matches);
-    }
-    if (options.project == project::ProjectionMode::kCount) {
-        std::printf("values=%zu bytes=%zu\n", sink.projected_values,
-                    sink.projected_bytes);
     }
     result.counters.merge(sink.projection_counters);
     if (options.stats) {
         obs::StreamReport report;
-        report.engine = "descend";
-        report.document_bytes = input.size();
-        report.records = result.records;
-        report.matches = result.matches;
-        report.failed_records = result.failed_records;
-        report.record_blocks = result.record_blocks;
-        report.counters = result.counters;
-        report.timings = result.timings;
-        report.timings.add(obs::Phase::kCompile, compile_ns);
-        report.timings.add(obs::Phase::kSplit, split_ns);
-        report.error_tally = result.error_tally;
-        std::fprintf(stderr, "%s\n", obs::to_json(report).c_str());
-    }
-    return result.ok() ? 0 : exit_code_for(result.first_error);
-}
-
-/** NDJSON × fused query set: N queries × M records off one splitter pass. */
-int run_multi_ndjson(const CliOptions& options, const PaddedString& input)
-{
-    stream::StreamOptions stream_options = make_stream_options(options);
-    obs::PhaseStopwatch compile_watch;
-    multi::MultiStreamExecutor executor = multi::MultiStreamExecutor::for_queries(
-        options.queries, stream_options);
-    const std::uint64_t compile_ns = compile_watch.elapsed_ns();
-
-    const simd::Kernels& kernels =
-        simd::kernels_for(options.engine_options.simd);
-    obs::PhaseStopwatch split_watch;
-    std::vector<stream::RecordSpan> records =
-        stream::split_records(input, kernels);
-    const std::uint64_t split_ns = split_watch.elapsed_ns();
-
-    struct PrintingSink final : multi::MultiStreamSink {
-        const CliOptions& options;
-        const PaddedString& input;
-        const std::vector<stream::RecordSpan>& records;
-        const simd::Kernels& kernels;
-        obs::Counters projection_counters;
-        std::size_t projected_values = 0;
-        std::size_t projected_bytes = 0;
-        std::size_t shown = 0;
-        std::size_t suppressed = 0;
-        std::string scratch;
-
-        PrintingSink(const CliOptions& options, const PaddedString& input,
-                     const std::vector<stream::RecordSpan>& records,
-                     const simd::Kernels& kernels)
-            : options(options), input(input), records(records), kernels(kernels)
-        {
-        }
-
-        PaddedView record_view(std::size_t record) const
-        {
-            const stream::RecordSpan& span = records[record];
-            return PaddedView(input).subview(span.begin, span.end - span.begin);
-        }
-
-        void on_match(std::size_t query, std::size_t record,
-                      std::size_t offset) override
-        {
-            if (options.count_only) {
-                return;
-            }
-            if (options.project != project::ProjectionMode::kNone) {
-                project::SpanExtender extender(record_view(record), kernels,
-                                               &projection_counters);
-                const project::ValueSpan span = extender.extend(offset);
-                ++projected_values;
-                projected_bytes += span.size();
-                if (options.project == project::ProjectionMode::kCount) {
-                    return;
-                }
-                if (options.limit != 0 && shown >= options.limit) {
-                    ++suppressed;
-                    return;
-                }
-                ++shown;
-                const std::string_view slice = extender.slice(span);
-                if (options.project == project::ProjectionMode::kNdjson) {
-                    scratch.clear();
-                    project::append_compact_value(slice, scratch);
-                    scratch.push_back('\n');
-                    std::fwrite(scratch.data(), 1, scratch.size(), stdout);
-                } else {
-                    std::printf("query %zu record %zu: %.*s\n", query, record,
-                                static_cast<int>(slice.size()), slice.data());
-                }
-                return;
-            }
-            if (options.limit != 0 && shown >= options.limit) {
-                ++suppressed;
-                return;
-            }
-            ++shown;
-            if (options.offsets_only) {
-                std::printf("query %zu record %zu: %zu\n", query, record,
-                            offset);
-            } else {
-                std::string_view value =
-                    extract_value(record_view(record), offset);
-                std::printf("query %zu record %zu: %.*s\n", query, record,
-                            static_cast<int>(value.size()), value.data());
-            }
-        }
-
-        void on_record_error(std::size_t record,
-                             const EngineStatus& status) override
-        {
-            std::fprintf(stderr, "descend-cli: record %zu at byte %zu: %s\n",
-                         record, records[record].begin + status.offset,
-                         to_string(status).c_str());
-        }
-    };
-
-    PrintingSink sink(options, input, records, kernels);
-    stream::StreamResult result = executor.run_records(input, records, sink);
-    if (sink.suppressed != 0) {
-        std::printf("... (%zu more)\n", sink.suppressed);
-    }
-    if (options.count_only) {
-        std::printf("%zu\n", result.matches);
-    }
-    if (options.project == project::ProjectionMode::kCount) {
-        std::printf("values=%zu bytes=%zu\n", sink.projected_values,
-                    sink.projected_bytes);
-    }
-    result.counters.merge(sink.projection_counters);
-    if (options.stats) {
-        obs::StreamReport report;
-        report.engine = executor.engine().name();
+        report.engine = fused ? fused->engine().name() : "descend";
         report.document_bytes = input.size();
         report.records = result.records;
         report.matches = result.matches;
@@ -857,8 +738,7 @@ int main(int argc, char** argv)
         const std::uint64_t compile_ns = compile_watch.elapsed_ns();
         auto dispatch = [&](const std::string& name, const PaddedString& doc) {
             if (options.ndjson) {
-                return multi ? run_multi_ndjson(options, doc)
-                             : run_ndjson(options, doc);
+                return run_ndjson(options, doc);
             }
             return multi ? run_multi(options, *multi_engine, name, doc,
                                      compile_ns)

@@ -63,8 +63,9 @@
  * workload documents are concatenated into NDJSON streams (LF, CRLF and
  * bare-CR separators), the *whole stream* is mutated (including separator
  * insertion/deletion, so record boundaries themselves get attacked), and
- * the sharded StreamExecutor — at several thread counts, under both error
- * policies — is checked against a scalar reference splitter plus
+ * both front ends of the sharded record scheduler — StreamExecutor and a
+ * one-query MultiStreamExecutor, at several thread counts, under both
+ * error policies — are checked against a scalar reference splitter plus
  * sequential per-record engine runs over isolated PaddedString copies.
  *
  * --selectors N: extended-selector differential mode. Random well-formed
@@ -111,6 +112,7 @@
 #include "descend/engine/scratch.h"
 #include "descend/json/dom.h"
 #include "descend/multi/fused.h"
+#include "descend/multi/multi_stream.h"
 #include "descend/util/errors.h"
 #include "descend/serve/dispatch.h"
 #include "descend/serve/protocol.h"
@@ -908,8 +910,8 @@ int report_stream(const std::string& name, const Mutation& mutation,
 
 /**
  * Checks one (possibly mutated) NDJSON stream: splitter vs the scalar
- * reference, then the sharded executor at several thread counts and under
- * both policies vs sequential per-record runs over isolated copies.
+ * reference, then both stream front ends at several thread counts and
+ * under both policies vs sequential per-record runs over isolated copies.
  */
 int check_stream(const std::string& name, const Mutation& mutation,
                  const std::string& query_text, Stats& stats)
@@ -972,38 +974,69 @@ int check_stream(const std::string& name, const Mutation& mutation,
             options.threads = threads;
             options.policy = policy;
             options.records_per_batch = 3;  // small batches: more shuffling
-            stream::StreamExecutor executor(
-                automaton::CompiledQuery::compile(query_text), options);
-            stream::CollectingStreamSink sink;
-            stream::StreamResult result = executor.run(padded, sink);
-            std::string configuration =
-                "executor[threads=" + std::to_string(threads) +
-                (fail_fast ? ",fail-fast]" : ",skip]");
-            const auto& want_matches = fail_fast ? fast_matches : skip_matches;
-            const auto& want_errors = fail_fast ? fast_errors : skip_errors;
-            if (sink.matches() != want_matches) {
-                return report_stream(name, mutation, configuration,
-                                     "matches diverge from the sequential "
-                                     "oracle (" +
-                                         std::to_string(sink.matches().size()) +
-                                         " vs " +
-                                         std::to_string(want_matches.size()) +
-                                         ")",
-                                     text);
-            }
-            if (sink.errors() != want_errors) {
-                return report_stream(
-                    name, mutation, configuration,
-                    "record errors diverge from the sequential oracle",
-                    text);
-            }
-            if (result.records != expected_spans.size() ||
-                result.matches != want_matches.size() ||
-                result.failed_records != want_errors.size()) {
-                return report_stream(name, mutation, configuration,
-                                     "aggregate StreamResult counters are "
-                                     "inconsistent with the delivered stream",
-                                     text);
+            // Both front ends of the record scheduler: the single-query
+            // executor and a one-query fused set.
+            for (bool fused : {false, true}) {
+                std::vector<stream::CollectingStreamSink::Match> matches;
+                std::vector<stream::CollectingStreamSink::RecordError> errors;
+                stream::StreamResult result;
+                bool foreign_query = false;
+                if (fused) {
+                    multi::MultiStreamExecutor executor =
+                        multi::MultiStreamExecutor::for_queries({query_text},
+                                                                options);
+                    multi::CollectingMultiStreamSink sink;
+                    result = executor.run(padded, sink);
+                    for (const auto& match : sink.matches()) {
+                        foreign_query |= match.query != 0;
+                        matches.push_back({match.record, match.offset});
+                    }
+                    errors = sink.errors();
+                } else {
+                    stream::StreamExecutor executor(
+                        automaton::CompiledQuery::compile(query_text), options);
+                    stream::CollectingStreamSink sink;
+                    result = executor.run(padded, sink);
+                    matches = sink.matches();
+                    errors = sink.errors();
+                }
+                std::string configuration =
+                    std::string(fused ? "fused-executor" : "executor") +
+                    "[threads=" + std::to_string(threads) +
+                    (fail_fast ? ",fail-fast]" : ",skip]");
+                const auto& want_matches = fail_fast ? fast_matches : skip_matches;
+                const auto& want_errors = fail_fast ? fast_errors : skip_errors;
+                if (foreign_query) {
+                    return report_stream(name, mutation, configuration,
+                                         "a one-query set reported a match "
+                                         "for another query index",
+                                         text);
+                }
+                if (matches != want_matches) {
+                    return report_stream(name, mutation, configuration,
+                                         "matches diverge from the sequential "
+                                         "oracle (" +
+                                             std::to_string(matches.size()) +
+                                             " vs " +
+                                             std::to_string(want_matches.size()) +
+                                             ")",
+                                         text);
+                }
+                if (errors != want_errors) {
+                    return report_stream(
+                        name, mutation, configuration,
+                        "record errors diverge from the sequential oracle",
+                        text);
+                }
+                if (result.records != expected_spans.size() ||
+                    result.matches != want_matches.size() ||
+                    result.failed_records != want_errors.size()) {
+                    return report_stream(name, mutation, configuration,
+                                         "aggregate StreamResult counters are "
+                                         "inconsistent with the delivered "
+                                         "stream",
+                                         text);
+                }
             }
         }
     }
