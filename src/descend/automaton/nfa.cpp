@@ -1,6 +1,9 @@
 #include "descend/automaton/nfa.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -9,9 +12,47 @@
 namespace descend::automaton {
 namespace {
 
-/** Below this many symbols a linear scan beats a hash probe; the interned
+/** Below this many labels a linear scan beats a hash probe; the interned
  *  lists stay in one or two cache lines for typical single queries. */
 constexpr std::size_t kHashedLookupThreshold = 8;
+
+/**
+ * Word-at-a-time hash over EVERY byte of a label: whole 8-byte words while
+ * they last, then a 1-7 byte tail as overlapping reads that still cover
+ * each of its bytes, seeded with the length. A hash over only the head and
+ * tail words would chain every label that differs only in the middle (a
+ * shape query sets can be built to hit on purpose).
+ */
+std::uint64_t hash_label(const char* data, std::size_t size) noexcept
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(data);
+    std::uint64_t h = (size + 1) * kMul;
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, bytes + i, 8);
+        h = (h ^ word) * kMul;
+        h ^= h >> 32;
+    }
+    std::size_t rest = size - i;
+    if (rest >= 4) {
+        std::uint32_t head;
+        std::uint32_t tail;
+        std::memcpy(&head, bytes + i, 4);
+        std::memcpy(&tail, bytes + i + rest - 4, 4);
+        h = (h ^ ((std::uint64_t{tail} << 32) | head)) * kMul;
+    } else if (rest != 0) {
+        h = (h ^ ((std::uint64_t{bytes[i]} << 16) |
+                  (std::uint64_t{bytes[i + rest / 2]} << 8) |
+                  bytes[i + rest - 1])) * kMul;
+    }
+    // Final avalanche: probing uses the low bits.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    return h;
+}
 
 using IndexRange = std::pair<std::uint64_t, std::uint64_t>;
 
@@ -58,11 +99,22 @@ void collect_symbols(const query::Query& query, std::vector<std::string>& labels
 
 void Alphabet::build_lookup_tables()
 {
-    if (labels_.size() >= kHashedLookupThreshold) {
-        label_ids_.reserve(labels_.size());
-        for (std::size_t i = 0; i < labels_.size(); ++i) {
-            label_ids_.emplace(labels_[i], static_cast<int>(i));
+    if (labels_.size() < kHashedLookupThreshold) {
+        return;
+    }
+    label_table_.assign(std::bit_ceil(labels_.size() * 4), LabelSlot{});
+    const std::size_t mask = label_table_.size() - 1;
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
+        const std::string& label = labels_[i];
+        if (label.size() > std::numeric_limits<std::uint32_t>::max()) {
+            throw LimitError("query labels are limited to 4 GiB");
         }
+        std::size_t slot = hash_label(label.data(), label.size()) & mask;
+        while (label_table_[slot].symbol >= 0) {
+            slot = (slot + 1) & mask;
+        }
+        label_table_[slot] = {static_cast<std::uint32_t>(label.size()),
+                              static_cast<std::int32_t>(i)};
     }
 }
 
@@ -124,9 +176,23 @@ Alphabet Alphabet::from_queries(const std::vector<query::Query>& queries)
 
 int Alphabet::label_symbol(std::string_view escaped_label) const noexcept
 {
-    if (!label_ids_.empty()) {
-        auto found = label_ids_.find(escaped_label);
-        return found != label_ids_.end() ? found->second : other_symbol();
+    if (!label_table_.empty()) {
+        const std::size_t mask = label_table_.size() - 1;
+        std::size_t slot =
+            hash_label(escaped_label.data(), escaped_label.size()) & mask;
+        while (true) {
+            const LabelSlot& entry = label_table_[slot];
+            if (entry.symbol < 0) {
+                return other_symbol();
+            }
+            if (entry.length == escaped_label.size() &&
+                std::char_traits<char>::compare(
+                    labels_[static_cast<std::size_t>(entry.symbol)].data(),
+                    escaped_label.data(), entry.length) == 0) {
+                return entry.symbol;
+            }
+            slot = (slot + 1) & mask;
+        }
     }
     for (std::size_t i = 0; i < labels_.size(); ++i) {
         if (labels_[i] == escaped_label) {

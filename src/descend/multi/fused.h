@@ -6,8 +6,11 @@
  * product automaton, and the engine advances a single depth stack over
  * it: one shared-alphabet label resolution and one transition per
  * structural event, skips decided by precomputed per-state bits, matches
- * fanned out through subscriber bitsets. O(1) automaton work per event
- * regardless of N — the engine that scales to 1k+ subscriptions. Filter
+ * fanned out through subscriber bitsets. Neither per-event step grows
+ * with N beyond a binary search's logarithm — a flat hash-table label
+ * lookup (Alphabet::label_symbol) and a bounded exception-list search
+ * (ProductAutomaton::transition) — so the engine scales to 1k+
+ * subscriptions. Filter
  * selectors compile as wildcard arcs; each filter-bearing subscriber's
  * predicate runs when the product reports a candidate.
  *

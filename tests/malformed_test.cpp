@@ -22,6 +22,7 @@
 #include "descend/baselines/surfer_engine.h"
 #include "descend/descend.h"
 #include "descend/engine/validation.h"
+#include "descend/multi/fused.h"
 #include "descend/util/errors.h"
 
 namespace descend {
@@ -222,6 +223,37 @@ TEST(Malformed, InvalidUtf8InLabel)
     std::string valid = "{\"caf\xC3\xA9\": 1}";
     EXPECT_TRUE(descend_status("$..x", valid).ok());
     EXPECT_TRUE(dom_status("$..x", valid).ok());
+}
+
+TEST(Malformed, InvalidUtf8AtEveryPositionOfALabel)
+{
+    // The label check skips whole 8-byte ASCII words before its byte loop:
+    // a bad byte at every position 0-23 of labels 1-24 bytes long lands in
+    // the first, second and third word and in the byte tail. Every tier of
+    // the main engine and of a fused set reports the DOM oracle's
+    // {code, offset}. Head skipping and within-element skipping would jump
+    // past the label, so the event-driven path is pinned.
+    const std::vector<std::string> set = {"$.*.b", "$.x.y", "$..c.d"};
+    for (std::size_t length = 1; length <= 24; ++length) {
+        for (std::size_t bad = 0; bad < length; ++bad) {
+            std::string label(length, 'k');
+            label[bad] = '\xFF';
+            std::string document = "{\"x\": 1, \"" + label + "\": {\"b\": 1}}";
+            SCOPED_TRACE("label length " + std::to_string(length) +
+                         ", bad byte at " + std::to_string(bad));
+            EngineStatus expected = dom_status("$.*.b", document);
+            ASSERT_EQ(expected.code, StatusCode::kInvalidUtf8InLabel);
+            for (const EngineOptions& base : descend_configurations()) {
+                EngineOptions options = base;
+                options.head_skipping = false;
+                options.label_within_skipping = false;
+                EXPECT_EQ(descend_status("$.*.b", document, options), expected);
+                multi::FusedEngine fused(multi::MultiQuery::compile(set), options);
+                multi::CountingMultiSink sink(set.size());
+                EXPECT_EQ(fused.run(PaddedString(document), sink), expected);
+            }
+        }
+    }
 }
 
 TEST(Limits, DeepNestingHitsDepthLimit)

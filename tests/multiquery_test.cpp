@@ -215,6 +215,103 @@ TEST(ProductAutomaton, StateCapSplitsTheSetAndRefusesASingleQuery)
     EXPECT_EQ(FusedEngine(set).parts().size(), 1u);
 }
 
+/**
+ * transition() against a reference linear scan of the state's exception
+ * list, for every state of every part and every symbol of the set's
+ * alphabet (labels, index intervals, OTHER). Returns the longest
+ * exception list seen.
+ */
+std::size_t expect_transitions_match_scan(const std::vector<std::string>& queries)
+{
+    MultiQuery set = MultiQuery::compile(queries);
+    const int symbols = set.alphabet().total_symbols();
+    std::size_t longest = 0;
+    for (const multi::ProductAutomaton& pa : QuerySetCompiler::compile_parts(set)) {
+        for (int state = 0; state < pa.num_states(); ++state) {
+            std::vector<multi::ProductAutomaton::Exception> list =
+                pa.exceptions(state);
+            longest = std::max(longest, list.size());
+            for (std::size_t i = 1; i < list.size(); ++i) {
+                if (list[i - 1].symbol >= list[i].symbol) {
+                    ADD_FAILURE() << "unsorted exceptions at state " << state;
+                    return longest;
+                }
+            }
+            // The reference: the state's dense row, written from one
+            // linear pass over its exception list.
+            std::vector<int> row(static_cast<std::size_t>(symbols),
+                                 pa.fallback(state));
+            for (const multi::ProductAutomaton::Exception& e : list) {
+                row[static_cast<std::size_t>(e.symbol)] = e.target;
+            }
+            for (int symbol = 0; symbol < symbols; ++symbol) {
+                int expected = row[static_cast<std::size_t>(symbol)];
+                if (pa.transition(state, symbol) != expected) {
+                    ADD_FAILURE() << "state " << state << " symbol " << symbol
+                                  << " of " << queries.size() << " queries: "
+                                  << pa.transition(state, symbol) << " != "
+                                  << expected;
+                    return longest;
+                }
+            }
+        }
+    }
+    return longest;
+}
+
+TEST(ProductAutomaton, TransitionsAgreeWithAnExceptionScan)
+{
+    // perfbench fanout's F1 set: 64 filter-free queries, shared-prefix
+    // spines plus distinct descendant labels.
+    const std::vector<std::string> f1 = {
+        "$.categoryPath.*.id", "$.categoryPath.*.name", "$.sku", "$.name",
+        "$.regularPrice", "$.videoChapters.*.chapter",
+        "$.entities.urls.*.url", "$.entities.urls.*.expanded_url",
+        "$.entities.hashtags.*.text", "$.user.screen_name", "$.user.name", "$.text",
+        "$.routes.*.legs.*.steps.*.distance.text",
+        "$.routes.*.legs.*.steps.*.duration.value",
+        "$.routes.*.legs.*.distance.value", "$.routes.*.summary",
+        "$.geocoded_waypoints.*.place_id",
+        "$.author.*.affiliation.*.name", "$.author.*.given", "$.author.*.ORCID",
+        "$.title.*", "$.DOI",
+        "$.claims.*.*.mainsnak.property", "$.claims.*.*.mainsnak.datavalue.value.id",
+        "$.labels.en.value", "$.descriptions.en.value",
+        "$.bestMarketplacePrice.price", "$.salePrice", "$.msrp",
+        "$.categories_tags.*", "$.product_name", "$.code",
+        "$.inner.*.kind", "$.inner.*.type.qualType", "$.range.begin.offset",
+        "$.search_metadata.count",
+        "$..id", "$..url", "$..text", "$..value", "$..type", "$..rank",
+        "$..qualType", "$..kind", "$..language", "$..property", "$..snaktype",
+        "$..datatype", "$..display_url", "$..indices", "$..family", "$..sequence",
+        "$..publisher", "$..member", "$..lat", "$..lng", "$..place_id",
+        "$..geocoder_status", "$..upc", "$..itemId", "$..brands", "$..labels_tags",
+        "$..offset", "$..col",
+    };
+    ASSERT_EQ(f1.size(), 64u);
+    EXPECT_GT(expect_transitions_match_scan(f1), 8u);
+
+    // Filters, slices, indices and unions: index-interval symbols sit
+    // between the labels and OTHER.
+    expect_transitions_match_scan({
+        "$.categoryPath[0].id", "$.entities.urls[1:3].url",
+        "$.routes[0].legs[0].steps[2:5].distance.value",
+        "$['sku','upc','itemId']", "$.labels['en','de'].value",
+        "$.author[?(@.ORCID)]", "$.claims.*[?(@.rank == 'normal')]",
+        "$..a[2:]", "$..b[0:10].c", "$.x[7]", "$.x[3:9]", "$.x.*[?(@.y > 2)]",
+    });
+
+    // bench_multiquery --scale at N = 1024, both shapes: one spine state
+    // with an exception per query, and 1024 descendant labels.
+    std::vector<std::string> shared_prefix;
+    std::vector<std::string> disjoint;
+    for (int i = 0; i < 1024; ++i) {
+        shared_prefix.push_back("$.products.*.tenantField" + std::to_string(i));
+        disjoint.push_back("$..tenantField" + std::to_string(i));
+    }
+    EXPECT_GE(expect_transitions_match_scan(shared_prefix), 1024u);
+    EXPECT_GE(expect_transitions_match_scan(disjoint), 1024u);
+}
+
 TEST(ProductAutomaton, SubscriberSetsFanOutToEveryOwner)
 {
     // Two subscriptions accepting at the same node must both be reported,

@@ -775,7 +775,10 @@ TEST(ServeServerTest, MalformedFrameGetsAStructuredResponseAndAClose)
 
 TEST(ServeServerTest, UnixSocketEndpointServes)
 {
-    std::string path = ::testing::TempDir() + "serve_test.sock";
+    // One path per process: ctest runs the tier variants of this suite in
+    // parallel, and each unlinks the path before binding it.
+    std::string path = ::testing::TempDir() + "serve_test." +
+                       std::to_string(::getpid()) + ".sock";
     ::unlink(path.c_str());
     ServerConfig config;
     config.unix_path = path;

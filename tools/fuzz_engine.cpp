@@ -86,8 +86,12 @@
  * product automaton, and the set split into parts by the smallest state
  * cap its queries compile under. Identical per-query match sets when
  * every independent run passes, uniformly-rejecting statuses when all
- * fail alike. The summary counts split legs and sets refused because one
- * query alone exceeds the state cap.
+ * fail alike. About one query in five is on the collision axis: a label
+ * sharing a document label's length and first and last 8 bytes but not
+ * its middle, or a document label cut or padded to 0, 7, 8, 9, 16 or 17
+ * bytes — near misses the union alphabet's label table must resolve like
+ * a linear scan. The summary counts split legs, near-miss labels and sets
+ * refused because one query alone exceeds the state cap.
  *
  * Exits non-zero on the first disagreement, printing a self-contained
  * reproducer (seed dataset, mutation, document, statuses).
@@ -408,6 +412,10 @@ struct Corpus {
     std::string document;
     std::vector<std::string> queries;    ///< for descend / surfer / dom
     std::string ski_query;               ///< child-only, for the jsonski baseline
+    /** The document's labels that a single-quoted query can spell as they
+     *  are (no quote, backslash or control byte): the --multi collision
+     *  axis derives near-miss labels from them. */
+    std::vector<std::string> labels;
 };
 
 void collect_labels(const json::Value& value, std::vector<std::string>& labels,
@@ -438,7 +446,15 @@ Corpus build_corpus(const std::string& name, std::size_t target_bytes)
     corpus.document = workloads::generate(name, target_bytes);
     json::Document dom = json::parse(corpus.document);
     std::vector<std::string> labels;
-    collect_labels(dom.root(), labels, 4);
+    collect_labels(dom.root(), labels, 64);
+    for (const std::string& label : labels) {
+        if (std::none_of(label.begin(), label.end(), [](char c) {
+                return c == '\'' || c == '\\' || c == '"' ||
+                       static_cast<unsigned char>(c) < 0x20;
+            })) {
+            corpus.labels.push_back(label);
+        }
+    }
 
     corpus.queries.push_back("$.*");
     for (std::size_t i = 0; i < labels.size() && i < 2; ++i) {
@@ -1280,19 +1296,52 @@ int check_multi(const std::string& name, const Mutation& mutation,
 }
 
 /**
+ * Adds a descendant query on a label the union alphabet's label table must
+ * tell apart from the document's own: either one that shares a document
+ * label's length and first and last 8 bytes and differs only in the middle
+ * (for labels of 17+ bytes; the document label's own query comes along,
+ * so both sit in one table), or a document label cut or padded to a length
+ * on the hash's word boundaries (0, 7, 8, 9, 16, 17). @p near_misses
+ * counts the middle-byte variants.
+ */
+void add_collision_queries(std::vector<std::string>& set,
+                           const std::vector<std::string>& labels,
+                           std::mt19937_64& rng, long& near_misses)
+{
+    static constexpr std::size_t kBoundaryLengths[] = {0, 7, 8, 9, 16, 17};
+    std::string label = labels[rng() % labels.size()];
+    if (label.size() >= 17 && rng() % 2 == 0) {
+        set.push_back("$..['" + label + "']");
+        std::size_t middle = 8 + rng() % (label.size() - 16);
+        label[middle] = label[middle] == 'q' ? 'Q' : 'q';
+        near_misses += 1;
+    } else {
+        label.resize(kBoundaryLengths[rng() % std::size(kBoundaryLengths)], '_');
+    }
+    set.push_back("$..['" + label + "']");
+}
+
+/**
  * A random subscription set of 2..64 queries: corpus-derived bases
  * extended with mutated shared prefixes and suffixes, so many queries
  * share a spine and fork near the leaf (the shape the product trie
- * factors), with verbatim duplicates mixed in (the dedup path).
+ * factors), with verbatim duplicates mixed in (the dedup path), and the
+ * collision axis (add_collision_queries).
  */
 std::vector<std::string> random_query_set(const Corpus& corpus,
-                                          std::mt19937_64& rng)
+                                          std::mt19937_64& rng,
+                                          long& near_misses)
 {
     std::vector<std::string> set;
     const std::size_t n = 2 + rng() % 63;
     while (set.size() < n) {
         const std::string& base =
             corpus.queries[rng() % corpus.queries.size()];
+        if (rng() % 5 == 0 && !corpus.labels.empty() &&
+            set.size() + 2 <= n) {
+            add_collision_queries(set, corpus.labels, rng, near_misses);
+            continue;
+        }
         switch (rng() % 4) {
         case 0:
             set.push_back(base);
@@ -1322,6 +1371,7 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
     }
 
     Stats stats;
+    long near_misses = 0;
     // Pristine documents first: the full query set must already agree.
     for (const Corpus& corpus : corpora) {
         Mutation pristine{"none (pristine seed)", corpus.document};
@@ -1346,7 +1396,8 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
         // by shared-prefix/suffix mutation — child-wildcard and
         // descendant queries mix so skip decisions genuinely disagree, and
         // duplicates exercise the dedup path.
-        std::vector<std::string> subset = random_query_set(corpus, rng);
+        std::vector<std::string> subset =
+            random_query_set(corpus, rng, near_misses);
         bool within = rng() % 2 == 1;
         if (int rc = check_multi(corpus.name, *mutation, subset, within,
                                  stats)) {
@@ -1361,9 +1412,10 @@ int run_multi_mode(long iterations, std::uint64_t seed0, bool verbose)
     std::printf("fuzz_engine --multi: %ld mutants over %zu seeds OK\n"
                 "  parity-checked legs: ok %ld, uniformly rejected %ld; "
                 "split legs checked: %ld; singleton parts refused (state "
-                "cap): %ld\n",
+                "cap): %ld; near-miss labels: %ld\n",
                 stats.mutants, corpora.size(), stats.still_valid,
-                stats.rejected, stats.split_legs, stats.singleton_refused);
+                stats.rejected, stats.split_legs, stats.singleton_refused,
+                near_misses);
     return 0;
 }
 
