@@ -82,6 +82,14 @@ PaddedString::PaddedString(std::string_view contents) : size_(contents.size())
     assert_padding(data_, size_);
 }
 
+PaddedString PaddedString::uninitialized(std::size_t size)
+{
+    PaddedString result;
+    result.size_ = size;
+    result.data_ = allocate_padded(size);
+    return result;
+}
+
 PaddedString PaddedString::from_file(const std::string& path)
 {
     // Failpoints (no-ops unless built with DESCEND_FAULT=ON): force the

@@ -44,6 +44,14 @@ public:
     explicit PaddedString(std::string_view contents);
 
     /**
+     * A padded buffer for @p size bytes that the caller fills in place
+     * through writable_data() (a request body received straight from a
+     * socket). Only the padding is written here, so the untouched pages of
+     * a large buffer commit no memory until its contents arrive.
+     */
+    static PaddedString uninitialized(std::size_t size);
+
+    /**
      * Reads a whole file into a padded buffer. Throws Error on failure.
      *
      * Large regular files take an mmap fast path on POSIX systems: the file
@@ -76,6 +84,15 @@ public:
     const std::uint8_t* data() const noexcept { return data_; }
     std::size_t size() const noexcept { return size_; }
     bool empty() const noexcept { return size_ == 0; }
+
+    /** The contents, writable. A from_file() mapping is read-only, so only
+     *  heap-owned buffers (uninitialized(), the string_view constructor)
+     *  allow it. */
+    std::uint8_t* writable_data() noexcept
+    {
+        assert(mapped_bytes_ == 0 && "a file mapping is read-only");
+        return data_;
+    }
 
     std::string_view view() const noexcept
     {

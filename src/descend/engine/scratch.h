@@ -5,7 +5,7 @@
  * of it: its workers append matches straight into per-batch buffers.
  *
  * A one-shot engine run allocates its working state fresh: an OffsetSink
- * grows a new offsets vector, and a request body is copied into a new
+ * grows a new offsets vector, and an input is copied into a new
  * PaddedString. Long-lived workers running millions of records/requests
  * pay that allocation churn on every single unit of work. RunScratch
  * hoists the state to the worker: buffers are cleared between runs but
@@ -144,8 +144,10 @@ private:
 
 /**
  * Everything one worker reuses across the requests it serves: the match
- * collector and a padded body arena (each request body is copied through
- * it; a zero-copy run never needs it and leaves it unallocated).
+ * collector and a padded body arena. Only bodies that arrive as plain
+ * bytes (serve::Dispatcher's in-process entry) are copied through the
+ * arena; the daemon's workers run on bodies received straight into their
+ * own padded buffers and leave it unallocated.
  */
 struct RunScratch {
     ReusableOffsetSink matches;

@@ -60,10 +60,16 @@ std::string quote_label(std::string_view label)
 /** A label segment in canonical form: dot form when bare, brackets else. */
 std::string render_label_segment(std::string_view label)
 {
+    std::string out;
     if (is_bare_label(label)) {
-        return "." + std::string(label);
+        out.reserve(1 + label.size());
+        out.append(".").append(label);
+        return out;
     }
-    return "[" + quote_label(label) + "]";
+    const std::string quoted = quote_label(label);
+    out.reserve(quoted.size() + 2);
+    out.append("[").append(quoted).append("]");
+    return out;
 }
 
 /** Shortest round-trip rendering of a numeric literal: `1`, `1.0` and
@@ -219,10 +225,14 @@ std::string Query::to_string() const
                 break;
             case SelectorKind::kChildWildcard: out += ".*"; break;
             case SelectorKind::kChildIndex:
-                out += "[" + std::to_string(selector.index) + "]";
+                out.append("[")
+                    .append(std::to_string(selector.index))
+                    .append("]");
                 break;
             case SelectorKind::kChildSlice:
-                out += "[" + std::to_string(selector.slice_lo) + ":";
+                out.append("[")
+                    .append(std::to_string(selector.slice_lo))
+                    .append(":");
                 if (selector.slice_hi != kSliceUnbounded) {
                     out += std::to_string(selector.slice_hi);
                 }
@@ -246,7 +256,9 @@ std::string Query::to_string() const
                 if (is_bare_label(selector.label)) {
                     out += ".." + selector.label;
                 } else {
-                    out += "..[" + quote_label(selector.label) + "]";
+                    out.append("..[")
+                        .append(quote_label(selector.label))
+                        .append("]");
                 }
                 break;
             case SelectorKind::kDescendantWildcard: out += "..*"; break;

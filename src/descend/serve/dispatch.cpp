@@ -53,13 +53,12 @@ struct ResponseValues {
     }
 };
 
-}  // namespace
-
-Response Dispatcher::handle(const Request& request, RunScratch& scratch,
-                            const CancelToken* drain_cancel) const
+/** Runs @p run, turning what it throws into a structured status. */
+template <typename Run>
+Response guarded(Run&& run)
 {
     try {
-        return dispatch(request, scratch, drain_cancel);
+        return run();
     } catch (const QueryError&) {
         // Compile failures (and set-level compile limits below) are the
         // tenant's problem, reported structurally; the connection and the
@@ -76,6 +75,27 @@ Response Dispatcher::handle(const Request& request, RunScratch& scratch,
         response.serve_status = ServeStatus::kInternal;
         return response;
     }
+}
+
+}  // namespace
+
+Response Dispatcher::handle(const Request& request, RunScratch& scratch,
+                            const CancelToken* drain_cancel) const
+{
+    return guarded([&] {
+        return dispatch(request, scratch.document.assign(request.body),
+                        scratch, drain_cancel);
+    });
+}
+
+Response Dispatcher::handle(const ReceivedRequest& request,
+                            RunScratch& scratch,
+                            const CancelToken* drain_cancel) const
+{
+    return guarded([&] {
+        return dispatch(request.request, request.body, scratch,
+                        drain_cancel);
+    });
 }
 
 EngineLimits Dispatcher::effective_limits(const Request& request) const
@@ -115,7 +135,8 @@ RunBudget Dispatcher::effective_budget(const Request& request,
     return RunBudget{};
 }
 
-Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
+Response Dispatcher::dispatch(const Request& request, PaddedView document,
+                              RunScratch& scratch,
                               const CancelToken* drain_cancel) const
 {
     EngineOptions options = policy_.engine;
@@ -135,8 +156,6 @@ Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
     if (hit) {
         response.flags |= kCacheHit;
     }
-
-    const PaddedView document = scratch.document.assign(request.body);
 
     switch (request.mode) {
         case RequestMode::kSingle: {
@@ -163,7 +182,7 @@ Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
             if (request.want_stats()) {
                 obs::RunReport report;
                 report.engine = entry->engine->name();
-                report.document_bytes = request.body.size();
+                report.document_bytes = document.size();
                 report.matches = scratch.matches.size();
                 report.stats = stats;
                 response.stats_json = obs::to_json(report);
@@ -207,7 +226,7 @@ Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
                 if (request.want_stats()) {
                     obs::RunReport report;
                     report.engine = entry->multi_engine->name();
-                    report.document_bytes = request.body.size();
+                    report.document_bytes = document.size();
                     report.matches =
                         static_cast<std::size_t>(response.match_count);
                     report.stats = stats;
@@ -223,7 +242,7 @@ Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
                 if (request.want_stats()) {
                     obs::RunReport report;
                     report.engine = entry->multi_engine->name();
-                    report.document_bytes = request.body.size();
+                    report.document_bytes = document.size();
                     report.matches = sink.total();
                     report.stats = stats;
                     response.stats_json = obs::to_json(report);
@@ -284,7 +303,7 @@ Response Dispatcher::dispatch(const Request& request, RunScratch& scratch,
             if (request.want_stats()) {
                 obs::StreamReport report;
                 report.engine = executor.engine().name();
-                report.document_bytes = request.body.size();
+                report.document_bytes = document.size();
                 report.records = result.records;
                 report.matches = result.matches;
                 report.failed_records = result.failed_records;

@@ -79,14 +79,25 @@ public:
      * unexpected kInternal. @p scratch is the calling worker's reusable
      * state; @p drain_cancel (optional) is the server's drain token,
      * threaded into the run budget.
+     *
+     * The in-process entry (tests, the frame fuzzer): the body is copied
+     * into @p scratch's padded arena first.
      */
     Response handle(const Request& request, RunScratch& scratch,
+                    const CancelToken* drain_cancel = nullptr) const;
+
+    /** The server's entry: the same, run in place on the body a
+     *  FrameReader received into its padded buffer. */
+    Response handle(const ReceivedRequest& request, RunScratch& scratch,
                     const CancelToken* drain_cancel = nullptr) const;
 
     const ServePolicy& policy() const noexcept { return policy_; }
 
 private:
-    Response dispatch(const Request& request, RunScratch& scratch,
+    /** The one dispatch core: @p request's fields (its body string is
+     *  not read) over the padded @p document. */
+    Response dispatch(const Request& request, PaddedView document,
+                      RunScratch& scratch,
                       const CancelToken* drain_cancel) const;
 
     /** The request's effective limits: defaults tightened by the frame. */

@@ -1,5 +1,6 @@
 #include "descend/serve/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace descend::serve {
@@ -112,31 +113,55 @@ FrameReader::State FrameReader::feed(const std::uint8_t* data, std::size_t size)
     if (state_ == State::kError) {
         return state_;  // poisoned connection: discard everything further
     }
+    if (state_ == State::kNeedMore && in_body_) {
+        const std::size_t taken = fill_body(data, size);
+        data += taken;
+        size -= taken;
+    }
     if (size != 0) {
         buffer_.insert(buffer_.end(), data, data + size);
     }
-    if (state_ == State::kReady) {
-        return state_;  // a decoded request is waiting to be taken
+    if (state_ == State::kNeedMore && !in_body_) {
+        parse();
     }
-    parse();
     return state_;
+}
+
+std::span<std::uint8_t> FrameReader::receive_target() noexcept
+{
+    if (state_ != State::kNeedMore || !in_body_) {
+        return {};
+    }
+    return {pending_.body.writable_data() + body_filled_,
+            pending_.body.size() - body_filled_};
+}
+
+std::size_t FrameReader::fill_body(const std::uint8_t* data,
+                                   std::size_t size) noexcept
+{
+    const std::size_t taken =
+        std::min(size, pending_.body.size() - body_filled_);
+    if (taken != 0) {
+        std::memcpy(pending_.body.writable_data() + body_filled_, data, taken);
+    }
+    commit(taken);
+    return taken;
 }
 
 FrameReader::State FrameReader::finish()
 {
-    if (state_ == State::kNeedMore && !buffer_.empty()) {
+    if (state_ == State::kNeedMore && (in_body_ || !buffer_.empty())) {
         return fail(ServeStatus::kTruncatedFrame);
     }
     return state_;
 }
 
-Request FrameReader::take_request()
+ReceivedRequest FrameReader::take_request()
 {
-    Request request = std::move(pending_);
-    pending_ = Request{};
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(frame_size_));
-    frame_size_ = 0;
+    ReceivedRequest request = std::move(pending_);
+    pending_ = ReceivedRequest{};
+    in_body_ = false;
+    body_filled_ = 0;
     state_ = State::kNeedMore;
     parse();  // leftover bytes may already hold the next frame
     return request;
@@ -191,24 +216,27 @@ void FrameReader::parse()
         fail(ServeStatus::kBodyTooLarge);
         return;
     }
-    const std::size_t total =
-        kRequestHeaderSize + query_len + static_cast<std::size_t>(body_len);
-    if (buffer_.size() < total) {
+    const std::size_t head = kRequestHeaderSize + query_len;
+    if (buffer_.size() < head) {
         return;  // kNeedMore
     }
-    pending_.mode = static_cast<RequestMode>(mode);
-    pending_.flags = get_u32(header + 8);
-    pending_.deadline_ms = get_u32(header + 12);
-    pending_.max_depth = get_u32(header + 16);
-    pending_.max_matches = get_u64(header + 20);
-    pending_.query.assign(
+    Request& request = pending_.request;
+    request.mode = static_cast<RequestMode>(mode);
+    request.flags = get_u32(header + 8);
+    request.deadline_ms = get_u32(header + 12);
+    request.max_depth = get_u32(header + 16);
+    request.max_matches = get_u64(header + 20);
+    request.query.assign(
         reinterpret_cast<const char*>(header + kRequestHeaderSize), query_len);
-    pending_.body.assign(reinterpret_cast<const char*>(header +
-                                                       kRequestHeaderSize +
-                                                       query_len),
-                         static_cast<std::size_t>(body_len));
-    frame_size_ = total;
-    state_ = State::kReady;
+    // The body gets its own padded buffer, and the part of it that came
+    // with the query's read moves in; the rest may be received in place.
+    pending_.body =
+        PaddedString::uninitialized(static_cast<std::size_t>(body_len));
+    in_body_ = true;
+    const std::size_t taken =
+        fill_body(buffer_.data() + head, buffer_.size() - head);
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(head + taken));
 }
 
 bool decode_response(const std::uint8_t* data, std::size_t size,

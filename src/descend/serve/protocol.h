@@ -75,11 +75,14 @@
  */
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "descend/engine/padded_string.h"
 #include "descend/util/status.h"
 
 namespace descend::serve {
@@ -174,8 +177,9 @@ constexpr const char* serve_status_name(ServeStatus status) noexcept
     return "unknown";
 }
 
-/** One decoded request. Strings own their bytes — a Request outlives the
- *  connection buffer it was decoded from. */
+/** One request: what encode_request() serializes and what a FrameReader
+ *  decodes (with the body kept apart, see ReceivedRequest). Strings own
+ *  their bytes — a Request outlives the buffer it was decoded from. */
 struct Request {
     RequestMode mode = RequestMode::kSingle;
     std::uint32_t flags = 0;
@@ -193,6 +197,16 @@ struct Request {
     bool want_offsets() const noexcept { return (flags & kWantOffsets) != 0; }
     bool want_stats() const noexcept { return (flags & kWantStats) != 0; }
     bool want_values() const noexcept { return (flags & kWantValues) != 0; }
+};
+
+/**
+ * One request as a FrameReader decodes it off the wire: the header fields
+ * and the query in @c request, whose body string stays empty, and the
+ * body in its own padded buffer, which the engines run on in place.
+ */
+struct ReceivedRequest {
+    Request request;
+    PaddedString body;
 };
 
 /** One decoded (or to-be-encoded) response. */
@@ -245,16 +259,26 @@ struct FrameLimits {
  * one connection; after a frame completes, the reader resets itself and
  * decodes the next frame from any leftover bytes.
  *
+ * Each body lands in its own 64-byte-aligned PaddedString, allocated once
+ * the header has passed admission control and the query is complete. Only
+ * the padding is written then, so a body that is declared but never sent
+ * commits no memory beyond the bytes that arrive. Bytes of the frame that
+ * were already read past the query (at most one read chunk) move into it;
+ * from there on the caller may receive the rest straight into
+ * receive_target() and report it with commit(), so the kernel's copy is
+ * the body's only one. The reader's own buffer holds the header, the
+ * query and the leftover of one read chunk, never a body.
+ *
  * Errors are sticky: once a frame violates the protocol the reader stays
  * in the error state (the connection is poisoned — the server responds
  * with the structured status and closes). finish() signals end-of-input,
- * turning an incomplete buffered frame into kTruncatedFrame.
+ * turning an incomplete frame into kTruncatedFrame.
  */
 class FrameReader {
 public:
     explicit FrameReader(FrameLimits limits = {}) : limits_(limits) {}
 
-    /** State after a feed() / finish(). */
+    /** State after a feed() / commit() / finish(). */
     enum class State : std::uint8_t {
         /** Mid-frame; feed more bytes. */
         kNeedMore,
@@ -266,6 +290,28 @@ public:
 
     /** Consumes @p size bytes from the wire. Returns the reader state. */
     State feed(const std::uint8_t* data, std::size_t size);
+
+    /**
+     * The unfilled tail of the current body, sized to exactly the bytes
+     * it still needs, so a read into it can never take bytes of the next
+     * frame. Empty unless the reader is mid-body (then bytes go through
+     * feed()).
+     */
+    std::span<std::uint8_t> receive_target() noexcept;
+
+    /** Records that the first @p size bytes of receive_target() were
+     *  written. Returns the reader state (kReady once the body is full). */
+    State commit(std::size_t size) noexcept
+    {
+        assert(state_ == State::kNeedMore && in_body_ &&
+               size <= pending_.body.size() - body_filled_ &&
+               "commit() covers only bytes written into receive_target()");
+        body_filled_ += size;
+        if (body_filled_ == pending_.body.size()) {
+            state_ = State::kReady;
+        }
+        return state_;
+    }
 
     /** Signals end-of-input: an incomplete frame becomes kTruncatedFrame;
      *  between frames this is a clean no-op (state stays kNeedMore). */
@@ -281,7 +327,7 @@ public:
      * from any already-buffered leftover bytes — after which the state is
      * kReady again if those bytes held another full frame.
      */
-    Request take_request();
+    ReceivedRequest take_request();
 
 private:
     State fail(ServeStatus status) noexcept
@@ -291,16 +337,25 @@ private:
         return state_;
     }
 
-    /** Attempts to decode buffer_; advances state. */
+    /** Attempts to decode the header and query from buffer_; advances
+     *  state. */
     void parse();
 
+    /** Copies as much of [data, data + size) as the body still needs into
+     *  it; returns the bytes taken. */
+    std::size_t fill_body(const std::uint8_t* data, std::size_t size) noexcept;
+
     FrameLimits limits_;
+    /** Undecoded bytes: a header and query in progress, or the bytes that
+     *  followed a body in the same read. */
     std::vector<std::uint8_t> buffer_;
-    Request pending_;
+    ReceivedRequest pending_;
     State state_ = State::kNeedMore;
     ServeStatus error_ = ServeStatus::kOk;
-    /** Total frame size once the header is parsed; 0 before that. */
-    std::size_t frame_size_ = 0;
+    /** The header and query are decoded and pending_.body is allocated. */
+    bool in_body_ = false;
+    /** Body bytes received so far. */
+    std::size_t body_filled_ = 0;
 };
 
 /**

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <iterator>
+#include <span>
 #include <utility>
 
 namespace descend::serve {
@@ -216,8 +217,8 @@ ServerCounters Server::counters() const
 
 void Server::worker_loop()
 {
-    // The worker's whole point: one scratch (padded document arena +
-    // offset sinks) reused across every request this thread ever serves.
+    // One scratch (offset sinks) reused across every request this thread
+    // ever serves; the bodies arrive padded and run in place.
     RunScratch scratch;
     for (;;) {
         Job job;
@@ -236,6 +237,7 @@ void Server::worker_loop()
         Completion completion;
         completion.conn_id = job.conn_id;
         completion.bytes = encode_response(response);
+        job.request.body = PaddedString{};
         {
             std::lock_guard<std::mutex> lock(completions_mutex_);
             completions_.push_back(std::move(completion));
@@ -292,7 +294,7 @@ void Server::queue_response(Connection& conn, const Response& response)
 
 void Server::launch_request(Connection& conn)
 {
-    Request request = conn.reader.take_request();
+    ReceivedRequest request = conn.reader.take_request();
     if (draining_) {
         shutdown_rejections_.fetch_add(1, std::memory_order_relaxed);
         Response response;
@@ -336,11 +338,21 @@ void Server::accept_ready()
 
 void Server::connection_readable(Connection& conn)
 {
-    std::uint8_t buffer[64 << 10];
+    std::uint8_t chunk[64 << 10];
     for (;;) {
-        ssize_t n = ::recv(conn.fd, buffer, sizeof(buffer), 0);
+        // Mid-body the kernel copies straight into the request's padded
+        // buffer, capped at what the body still needs, so no byte of the
+        // next frame lands in it; headers and queries go through a chunk.
+        const std::span<std::uint8_t> target = conn.reader.receive_target();
+        const bool in_place = !target.empty();
+        ssize_t n = in_place ? ::recv(conn.fd, target.data(), target.size(), 0)
+                             : ::recv(conn.fd, chunk, sizeof(chunk), 0);
         if (n > 0) {
-            conn.reader.feed(buffer, static_cast<std::size_t>(n));
+            if (in_place) {
+                conn.reader.commit(static_cast<std::size_t>(n));
+            } else {
+                conn.reader.feed(chunk, static_cast<std::size_t>(n));
+            }
             if (conn.reader.state() == FrameReader::State::kError) {
                 break;
             }

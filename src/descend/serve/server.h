@@ -9,11 +9,15 @@
  *     on the listener, the connections, and two eventfds (worker wakeup,
  *     shutdown), accepts, reads bytes into each connection's FrameReader,
  *     and writes queued response bytes back out. It never runs an engine.
- *   - N *worker threads* pop decoded requests from a queue, execute them
- *     through the shared Dispatcher (each worker owns one RunScratch, so
- *     padded document buffers and offset vectors are reused across every
- *     request the worker serves), encode the response bytes, and hand
- *     them back to the event thread through a completion queue + eventfd.
+ *     Once a frame's header and query are decoded, it recv()s the rest of
+ *     the body straight into the request's padded buffer (the kernel's
+ *     copy is the body's only one).
+ *   - N *worker threads* pop decoded requests from a queue, run the
+ *     engines in place on each body through the shared Dispatcher (each
+ *     worker owns one RunScratch, so offset vectors are reused across
+ *     every request the worker serves), encode the response bytes, free
+ *     the body, and hand the bytes back to the event thread through a
+ *     completion queue + eventfd.
  *
  * Each connection has at most one request in flight: while a request is
  * with the workers the connection's read side is disarmed, so pipelining
@@ -133,7 +137,8 @@ private:
 
     struct Job {
         std::uint64_t conn_id = 0;
-        Request request;
+        /** Its body is freed once the worker has encoded the response. */
+        ReceivedRequest request;
     };
 
     struct Completion {

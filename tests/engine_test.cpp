@@ -263,8 +263,10 @@ TEST(EngineBlocks, BoundaryStraddles)
     // Force interesting characters to straddle 64-byte block boundaries by
     // padding with whitespace of varying length.
     for (std::size_t pad = 50; pad <= 70; ++pad) {
-        std::string document = "{" + std::string(pad, ' ') +
-                               R"("a": {"b": [1, 2, {"c": "x,]}"}]})" + "}";
+        std::string document = std::string("{")
+                                   .append(pad, ' ')
+                                   .append(R"("a": {"b": [1, 2, {"c": "x,]}"}]})")
+                                   .append("}");
         expect_all_engines_agree("$.a.b.*", document);
         expect_all_engines_agree("$..c", document);
     }
@@ -273,8 +275,8 @@ TEST(EngineBlocks, BoundaryStraddles)
 TEST(EngineBlocks, LabelSplitAcrossBlocks)
 {
     for (std::size_t pad = 40; pad <= 80; ++pad) {
-        std::string document =
-            "{" + std::string(pad, ' ') + R"("long_label_name": {"inner": 42}})";
+        std::string document = std::string("{").append(pad, ' ').append(
+            R"("long_label_name": {"inner": 42}})");
         expect_all_engines_agree("$.long_label_name.inner", document);
         expect_all_engines_agree("$..inner", document);
     }

@@ -75,7 +75,7 @@ TEST_P(IteratorTest, PeekDoesNotConsume)
 
 TEST_P(IteratorTest, PeekAcrossBlockBoundary)
 {
-    std::string text = "[" + std::string(100, ' ') + "{}]";
+    std::string text = std::string("[").append(100, ' ').append("{}]");
     PaddedString doc(text);
     StructuralIterator iter(doc, kernels());
     EXPECT_EQ(iter.next().byte, '[');
@@ -212,7 +212,8 @@ TEST_P(IteratorTest, SliceEndingMidBlockKeepsTailBytesOutOfSkipsAndBalances)
     // A slice whose last block is partial, inside a buffer whose next
     // bytes would close the open element and balance the slice: the
     // skip must run out and the validator must see the imbalance.
-    std::string open_text = "[" + std::string(150, ' ') + "[[1, [2, [3";
+    std::string open_text =
+        std::string("[").append(150, ' ').append("[[1, [2, [3");
     PaddedString buffer(open_text + "]]]]");
     PaddedView slice = PaddedView(buffer).subview(0, open_text.size());
     ASSERT_NE(slice.size() % simd::kBlockSize, 0u);
@@ -231,7 +232,8 @@ TEST_P(IteratorTest, SliceEndingMidBlockKeepsTailBytesOutOfSkipsAndBalances)
 
     // The balanced prefix of the same buffer: clean, and the tail's
     // closers never show up as events.
-    std::string closed_text = "[" + std::string(150, ' ') + "[[1], [2]]]";
+    std::string closed_text =
+        std::string("[").append(150, ' ').append("[[1], [2]]]");
     PaddedString closed_buffer(closed_text + "]]]]");
     PaddedView closed = PaddedView(closed_buffer).subview(0, closed_text.size());
     StructuralValidator validator;

@@ -59,7 +59,8 @@ TEST(LabelSearch, ColonMayBeSeparatedByWhitespace)
 TEST(LabelSearch, WorksAcrossBlockBoundaries)
 {
     for (std::size_t pad = 50; pad <= 75; ++pad) {
-        std::string doc = "{" + std::string(pad, ' ') + R"("needle": 1})";
+        std::string doc =
+            std::string("{").append(pad, ' ').append(R"("needle": 1})");
         auto hits = find_all(doc, "needle");
         ASSERT_EQ(hits.size(), 1u) << "pad " << pad;
         EXPECT_EQ(hits[0], pad + 1) << "pad " << pad;

@@ -20,7 +20,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,14 +75,15 @@ TEST(ServeProtocolTest, RequestRoundTripPreservesEveryField)
     FrameReader reader;
     ASSERT_EQ(feed_all(reader, encode_request(original)),
               FrameReader::State::kReady);
-    Request decoded = reader.take_request();
-    EXPECT_EQ(decoded.mode, original.mode);
-    EXPECT_EQ(decoded.flags, original.flags);
-    EXPECT_EQ(decoded.deadline_ms, original.deadline_ms);
-    EXPECT_EQ(decoded.max_depth, original.max_depth);
-    EXPECT_EQ(decoded.max_matches, original.max_matches);
-    EXPECT_EQ(decoded.query, original.query);
-    EXPECT_EQ(decoded.body, original.body);
+    ReceivedRequest decoded = reader.take_request();
+    EXPECT_EQ(decoded.request.mode, original.mode);
+    EXPECT_EQ(decoded.request.flags, original.flags);
+    EXPECT_EQ(decoded.request.deadline_ms, original.deadline_ms);
+    EXPECT_EQ(decoded.request.max_depth, original.max_depth);
+    EXPECT_EQ(decoded.request.max_matches, original.max_matches);
+    EXPECT_EQ(decoded.request.query, original.query);
+    EXPECT_TRUE(decoded.request.body.empty());
+    EXPECT_EQ(decoded.body.view(), original.body);
     EXPECT_EQ(reader.state(), FrameReader::State::kNeedMore);
 }
 
@@ -88,8 +92,8 @@ TEST(ServeProtocolTest, EmptyQueryAndBodyRoundTrip)
     FrameReader reader;
     ASSERT_EQ(feed_all(reader, encode_request(make_request("", ""))),
               FrameReader::State::kReady);
-    Request decoded = reader.take_request();
-    EXPECT_TRUE(decoded.query.empty());
+    ReceivedRequest decoded = reader.take_request();
+    EXPECT_TRUE(decoded.request.query.empty());
     EXPECT_TRUE(decoded.body.empty());
 }
 
@@ -144,7 +148,7 @@ TEST(ServeProtocolTest, OneByteAtATimeFeedReachesReady)
     }
     ASSERT_EQ(reader.feed(&wire[wire.size() - 1], 1),
               FrameReader::State::kReady);
-    EXPECT_EQ(reader.take_request().query, "$..x");
+    EXPECT_EQ(reader.take_request().request.query, "$..x");
 }
 
 TEST(ServeProtocolTest, PipelinedFramesDecodeBackToBack)
@@ -156,11 +160,11 @@ TEST(ServeProtocolTest, PipelinedFramesDecodeBackToBack)
 
     FrameReader reader;
     ASSERT_EQ(feed_all(reader, wire), FrameReader::State::kReady);
-    EXPECT_EQ(reader.take_request().query, "$..a");
+    EXPECT_EQ(reader.take_request().request.query, "$..a");
     // take_request() re-parses the leftover bytes: the second frame must be
     // ready with no further feed.
     ASSERT_EQ(reader.state(), FrameReader::State::kReady);
-    EXPECT_EQ(reader.take_request().query, "$..b");
+    EXPECT_EQ(reader.take_request().request.query, "$..b");
     EXPECT_EQ(reader.state(), FrameReader::State::kNeedMore);
 }
 
@@ -250,6 +254,132 @@ TEST(ServeProtocolTest, ErrorsAreStickyAcrossFurtherValidBytes)
     std::vector<std::uint8_t> valid = encode_request(make_request("$..a", ""));
     EXPECT_EQ(feed_all(reader, valid), FrameReader::State::kError);
     EXPECT_EQ(reader.error(), ServeStatus::kBadMagic);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol: bodies received in place into their padded buffers.
+// ---------------------------------------------------------------------------
+
+/** The body buffer the engines run on: 64-byte aligned, followed by a
+ *  full PaddedString::kPadding of spaces. */
+void expect_padded_body(const PaddedString& body)
+{
+    ASSERT_NE(body.data(), nullptr);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(body.data()) % 64, 0u);
+    for (std::size_t i = 0; i < PaddedString::kPadding; ++i) {
+        ASSERT_EQ(body.data()[body.size() + i], ' ') << "padding byte " << i;
+    }
+}
+
+TEST(ServeProtocolTest, LargeBodyThroughMixedFeedAndReceiveIsExact)
+{
+    std::mt19937_64 rng(20261018);
+    std::string body((std::size_t{1} << 20) + 4321, '\0');
+    for (char& byte : body) {
+        byte = static_cast<char>(rng());
+    }
+    const Request original = make_request("$..a[?@.b > 1]", body);
+    const std::vector<std::uint8_t> wire = encode_request(original);
+    const std::size_t body_begin = kRequestHeaderSize + original.query.size();
+
+    // The server's loop: feed() a read chunk while no body is open, else
+    // either feed() or write a prefix of receive_target() and commit() it.
+    FrameReader reader;
+    std::size_t pos = 0;
+    std::size_t received = 0;
+    while (pos < wire.size()) {
+        ASSERT_EQ(reader.state(), FrameReader::State::kNeedMore);
+        const std::span<std::uint8_t> target = reader.receive_target();
+        if (pos < body_begin) {
+            ASSERT_TRUE(target.empty()) << "no body before the query ends";
+        } else {
+            // Exactly the bytes the body still needs: a read into it can
+            // never take bytes of a following frame.
+            ASSERT_EQ(target.size(), wire.size() - pos);
+        }
+        const std::size_t size =
+            std::min<std::size_t>(1 + rng() % 70000, wire.size() - pos);
+        if (!target.empty() && rng() % 2 == 0) {
+            const std::size_t take = std::min(size, target.size());
+            std::memcpy(target.data(), wire.data() + pos, take);
+            reader.commit(take);
+            pos += take;
+            received += take;
+        } else {
+            reader.feed(wire.data() + pos, size);
+            pos += size;
+        }
+    }
+    ASSERT_EQ(reader.state(), FrameReader::State::kReady);
+    EXPECT_GT(received, 0u) << "the seed must exercise direct receives";
+    EXPECT_TRUE(reader.receive_target().empty());
+    ReceivedRequest decoded = reader.take_request();
+    EXPECT_EQ(decoded.request.query, original.query);
+    EXPECT_EQ(decoded.body.size(), body.size());
+    EXPECT_TRUE(decoded.body.view() == body) << "body bytes differ";
+    expect_padded_body(decoded.body);
+    EXPECT_EQ(reader.state(), FrameReader::State::kNeedMore);
+    EXPECT_EQ(reader.finish(), FrameReader::State::kNeedMore);
+}
+
+TEST(ServeProtocolTest, EmptyBodyStillHasReadableSpacePadding)
+{
+    // Mirrors PaddedArenaTest: a zero-length body still needs a buffer
+    // holding the padding the classifiers read.
+    FrameReader reader;
+    ASSERT_EQ(feed_all(reader, encode_request(make_request("$..a", ""))),
+              FrameReader::State::kReady);
+    ReceivedRequest decoded = reader.take_request();
+    EXPECT_EQ(decoded.body.size(), 0u);
+    expect_padded_body(decoded.body);
+}
+
+TEST(ServeProtocolTest, DeclaredBodyCutShortIsTruncated)
+{
+    const std::vector<std::uint8_t> wire =
+        encode_request(make_request("$..a", std::string(1000, '7')));
+    const std::size_t head = kRequestHeaderSize + 4;
+    for (std::size_t sent : {std::size_t{0}, std::size_t{500}}) {
+        FrameReader reader;
+        ASSERT_EQ(reader.feed(wire.data(), head), FrameReader::State::kNeedMore);
+        std::span<std::uint8_t> target = reader.receive_target();
+        ASSERT_EQ(target.size(), 1000u);
+        std::memcpy(target.data(), wire.data() + head, sent);
+        ASSERT_EQ(reader.commit(sent), FrameReader::State::kNeedMore);
+        ASSERT_EQ(reader.finish(), FrameReader::State::kError)
+            << sent << " body bytes";
+        EXPECT_EQ(reader.error(), ServeStatus::kTruncatedFrame);
+        EXPECT_TRUE(reader.receive_target().empty());
+    }
+}
+
+TEST(ServeProtocolTest, BodyFollowedBySecondFrameInOneChunkDecodesBackToBack)
+{
+    const std::string first_body(3000, '1');
+    std::vector<std::uint8_t> wire =
+        encode_request(make_request("$..a", first_body));
+    const std::vector<std::uint8_t> second =
+        encode_request(make_request("$..b", "{\"b\": 2}"));
+    wire.insert(wire.end(), second.begin(), second.end());
+
+    // The header and query first, so the body is open; then the body's
+    // rest and the whole second frame in one read.
+    FrameReader reader;
+    const std::size_t head = kRequestHeaderSize + 4;
+    ASSERT_EQ(reader.feed(wire.data(), head + 10),
+              FrameReader::State::kNeedMore);
+    ASSERT_EQ(reader.feed(wire.data() + head + 10, wire.size() - head - 10),
+              FrameReader::State::kReady);
+    ReceivedRequest decoded = reader.take_request();
+    EXPECT_EQ(decoded.request.query, "$..a");
+    EXPECT_EQ(decoded.body.view(), first_body);
+    expect_padded_body(decoded.body);
+    ASSERT_EQ(reader.state(), FrameReader::State::kReady);
+    decoded = reader.take_request();
+    EXPECT_EQ(decoded.request.query, "$..b");
+    EXPECT_EQ(decoded.body.view(), "{\"b\": 2}");
+    expect_padded_body(decoded.body);
+    EXPECT_EQ(reader.state(), FrameReader::State::kNeedMore);
 }
 
 TEST(ServeProtocolTest, SplitQuerySetSkipsBlanksAndToleratesCr)
@@ -635,6 +765,37 @@ TEST_F(DispatcherTest, ScratchReusesBuffersAcrossRequests)
     EXPECT_GE(scratch_.document.capacity(), std::strlen("{\"b\": [1, 2, 3]}"));
 }
 
+TEST_F(DispatcherTest, ReceivedBodiesRunInPlaceLikeCopiedOnes)
+{
+    // The server's entry runs on the body the reader received, without
+    // touching the scratch arena, and answers exactly as the in-process
+    // entry does in every mode.
+    const Request requests[] = {
+        make_request("$..b", "{\"a\": {\"b\": 1}, \"b\": [2]}",
+                     RequestMode::kSingle, kWantOffsets | kWantValues),
+        make_request("$..b\n$.a", "{\"a\": {\"b\": 1}}", RequestMode::kMulti,
+                     kWantOffsets | kWantValues),
+        make_request("$.x", "{\"x\": 1}\n{\"x\": [2]}\n", RequestMode::kNdjson,
+                     kWantOffsets | kWantValues),
+        make_request("$..a", ""),
+    };
+    for (const Request& request : requests) {
+        FrameReader reader;
+        ASSERT_EQ(feed_all(reader, encode_request(request)),
+                  FrameReader::State::kReady);
+        RunScratch fresh;
+        Response received =
+            dispatcher_.handle(reader.take_request(), fresh);
+        EXPECT_EQ(fresh.document.capacity(), 0u) << request.query;
+        Response copied = handle(request);
+        EXPECT_EQ(received.serve_status, copied.serve_status) << request.query;
+        EXPECT_EQ(received.engine_status.code, copied.engine_status.code);
+        EXPECT_EQ(received.match_count, copied.match_count) << request.query;
+        EXPECT_EQ(received.offsets, copied.offsets) << request.query;
+        EXPECT_EQ(received.values, copied.values) << request.query;
+    }
+}
+
 TEST(PaddedArenaTest, EmptyAssignOnFreshArenaStillProvidesPadding)
 {
     // Regression: an empty body as the very first assign must still give
@@ -771,6 +932,56 @@ TEST(ServeServerTest, MalformedFrameGetsAStructuredResponseAndAClose)
     server.shutdown();
     server.wait();
     EXPECT_EQ(server.counters().protocol_errors, 1u);
+}
+
+TEST(ServeServerTest, ClientsClosingMidRequestLeaveTheServerServing)
+{
+    // 1 MiB bodies take the in-place receive path: one client sends a
+    // whole request and closes before its answer arrives, another closes
+    // halfway through the body. Neither may disturb the next connection.
+    std::string body = "{\"a\": [";
+    while (body.size() < (std::size_t{1} << 20)) {
+        body += "{\"b\": 1}, ";
+    }
+    body += "{\"b\": 2}]}";
+    const Request request = make_request("$..b", body);
+    const std::vector<std::uint8_t> wire = encode_request(request);
+    PaddedString padded(body);
+    OffsetsResult expected =
+        DescendEngine::for_query("$..b").offsets_checked(padded);
+    ASSERT_TRUE(expected.ok());
+
+    ServerConfig config;
+    config.workers = 2;
+    Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    {
+        LoopbackClient gone(server.tcp_port());
+        ASSERT_TRUE(gone.connected());
+        ASSERT_TRUE(gone.send_bytes(wire));
+    }
+    {
+        LoopbackClient cut(server.tcp_port());
+        ASSERT_TRUE(cut.connected());
+        ASSERT_TRUE(cut.send_bytes(std::vector<std::uint8_t>(
+            wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(
+                                             wire.size() / 2))));
+    }
+    LoopbackClient client(server.tcp_port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.send_bytes(wire));
+    Response response;
+    ASSERT_TRUE(client.read_response(response));
+    EXPECT_TRUE(response.ok());
+    EXPECT_EQ(response.match_count, expected.offsets.size());
+    ASSERT_EQ(response.offsets.size(), expected.offsets.size());
+    EXPECT_TRUE(std::equal(response.offsets.begin(), response.offsets.end(),
+                           expected.offsets.begin()));
+
+    server.shutdown();
+    server.wait();
+    EXPECT_EQ(server.counters().connections_accepted, 3u);
 }
 
 TEST(ServeServerTest, UnixSocketEndpointServes)

@@ -46,10 +46,14 @@
  * request frames (random mode/flags/limits/query/document) are mutated —
  * byte flips, truncations, length-field corruption, frame splices, pure
  * garbage — and driven through the exact server-side path a connection
- * uses (FrameReader with random chunking, then Dispatcher on decoded
- * requests): the server loop must never crash (run under the asan preset),
- * every outcome must be a valid in-range ServeStatus, reader errors must
- * be sticky, and every response must survive an encode/decode round trip.
+ * uses (FrameReader fed in random chunks, alternating at random with
+ * direct writes into its receive_target() body tail, then the
+ * Dispatcher's in-place entry on decoded requests): the server loop must
+ * never crash (run under the asan preset), every outcome must be a valid
+ * in-range ServeStatus, reader errors must be sticky, and every response
+ * must survive an encode/decode round trip. An unmutated frame must
+ * decode to exactly its query and body bytes, the body 64-byte aligned
+ * and followed by PaddedString::kPadding spaces.
  *
  * --faults N: randomized failpoint injection (see src/descend/fault).
  * Requires a DESCEND_FAULT=ON build — exits 0 with a notice otherwise.
@@ -104,6 +108,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -1760,8 +1765,10 @@ int run_faults_mode(long iterations, std::uint64_t seed0, bool verbose)
 // Serve-frame mutation mode: the daemon's wire path under hostile bytes.
 //
 // Mirrors exactly what the server does per connection: an incremental
-// FrameReader fed in arbitrary chunks, take_request() on kReady, then
-// Dispatcher::handle() — with a shared QueryCache and a reused RunScratch,
+// FrameReader fed in arbitrary chunks or, mid-body, written straight into
+// its receive_target() and commit()ted (the server's recv() into the
+// body), take_request() on kReady, then Dispatcher::handle() on the
+// received request — with a shared QueryCache and a reused RunScratch,
 // like one worker thread. The contract under ANY byte sequence:
 //
 //  - no crash, no exception escaping the dispatch path;
@@ -1770,8 +1777,10 @@ int run_faults_mode(long iterations, std::uint64_t seed0, bool verbose)
 //  - every decoded request produces a response whose serve_status is
 //    in-range, and whose encoding survives a decode_response round trip
 //    (what a real client would receive and parse);
-//  - an unmutated frame must decode and dispatch with ServeStatus::kOk or
-//    kBadQuery (some generated queries are deliberately invalid).
+//  - an unmutated frame must decode to exactly the encoded fields, query
+//    and body bytes, with the body 64-byte aligned and space-padded, and
+//    dispatch with ServeStatus::kOk or kBadQuery (some generated queries
+//    are deliberately invalid).
 // ---------------------------------------------------------------------------
 
 int report_frames(long iteration, const std::string& detail)
@@ -1781,10 +1790,43 @@ int report_frames(long iteration, const std::string& detail)
     return 1;
 }
 
-/** One worker's view of a connection: chunked feed, dispatch on ready.
- *  Returns empty on contract violations, else a problem description. */
+/** The exact-bytes oracle for an unmutated frame: empty when @p decoded
+ *  carries @p original's fields and bytes in a conforming padded body. */
+std::string check_received(const serve::ReceivedRequest& decoded,
+                           const serve::Request& original)
+{
+    const serve::Request& fields = decoded.request;
+    if (fields.mode != original.mode || fields.flags != original.flags ||
+        fields.deadline_ms != original.deadline_ms ||
+        fields.max_depth != original.max_depth ||
+        fields.max_matches != original.max_matches) {
+        return "decoded header fields differ from the frame's";
+    }
+    if (fields.query != original.query || !fields.body.empty()) {
+        return "decoded query differs from the frame's bytes";
+    }
+    const PaddedString& body = decoded.body;
+    if (body.view() != original.body) {
+        return "decoded body differs from the frame's bytes";
+    }
+    if (reinterpret_cast<std::uintptr_t>(body.data()) % 64 != 0) {
+        return "decoded body is not 64-byte aligned";
+    }
+    for (std::size_t i = 0; i < PaddedString::kPadding; ++i) {
+        if (body.data()[body.size() + i] != ' ') {
+            return "decoded body's padding is not spaces";
+        }
+    }
+    return {};
+}
+
+/** One worker's view of a connection: chunked feed or in-place receive,
+ *  dispatch on ready. @p original (the unmutated frame's request, or
+ *  null) must come back byte for byte. Returns empty on contract
+ *  violations, else a problem description. */
 template <typename Rng>
 std::string drive_connection(const std::vector<std::uint8_t>& wire,
+                             const serve::Request* original,
                              serve::Dispatcher& dispatcher,
                              RunScratch& scratch, Rng& rng, bool& dispatched)
 {
@@ -1794,7 +1836,16 @@ std::string drive_connection(const std::vector<std::uint8_t>& wire,
     while (fed < wire.size()) {
         std::size_t chunk = 1 + pick(rng, 997);
         chunk = std::min(chunk, wire.size() - fed);
-        serve::FrameReader::State state = reader.feed(wire.data() + fed, chunk);
+        // Mid-body, the server recv()s straight into the body's tail.
+        const std::span<std::uint8_t> target = reader.receive_target();
+        serve::FrameReader::State state;
+        if (!target.empty() && rng() % 2 == 0) {
+            chunk = std::min(chunk, target.size());
+            std::memcpy(target.data(), wire.data() + fed, chunk);
+            state = reader.commit(chunk);
+        } else {
+            state = reader.feed(wire.data() + fed, chunk);
+        }
         fed += chunk;
         if (state == serve::FrameReader::State::kError) {
             serve::ServeStatus error = reader.error();
@@ -1812,7 +1863,14 @@ std::string drive_connection(const std::vector<std::uint8_t>& wire,
             return {};
         }
         while (reader.state() == serve::FrameReader::State::kReady) {
-            serve::Request request = reader.take_request();
+            serve::ReceivedRequest request = reader.take_request();
+            if (original != nullptr) {
+                std::string problem = check_received(request, *original);
+                if (!problem.empty()) {
+                    return problem;
+                }
+                original = nullptr;  // only the first frame is the original
+            }
             serve::Response response;
             try {
                 response = dispatcher.handle(request, scratch);
@@ -1874,6 +1932,7 @@ int run_serve_frames_mode(long iterations, std::uint64_t seed0, bool verbose)
     long mutants = 0;
     long dispatched_total = 0;
     long rejected_total = 0;
+    long exact_total = 0;
     for (long i = 0; i < iterations; ++i) {
         std::mt19937_64 rng(seed0 * 0x9E3779B97F4A7C15ull +
                             static_cast<std::uint64_t>(i) + 0x5EF7Eull);
@@ -1947,7 +2006,8 @@ int run_serve_frames_mode(long iterations, std::uint64_t seed0, bool verbose)
         mutants += 1;
         bool dispatched = false;
         std::string problem =
-            drive_connection(wire, dispatcher, scratch, rng, dispatched);
+            drive_connection(wire, pristine ? &request : nullptr, dispatcher,
+                             scratch, rng, dispatched);
         if (!problem.empty()) {
             std::printf("(reproduce with --serve-frames and --seed %llu)\n",
                         static_cast<unsigned long long>(seed0));
@@ -1956,6 +2016,7 @@ int run_serve_frames_mode(long iterations, std::uint64_t seed0, bool verbose)
         if (pristine && !dispatched) {
             return report_frames(i, "pristine frame failed to dispatch");
         }
+        exact_total += pristine ? 1 : 0;
         dispatched_total += dispatched ? 1 : 0;
         rejected_total += dispatched ? 0 : 1;
         if (verbose && (i + 1) % 1000 == 0) {
@@ -1965,9 +2026,9 @@ int run_serve_frames_mode(long iterations, std::uint64_t seed0, bool verbose)
     serve::CacheStats cache_stats = cache.stats();
     std::printf(
         "fuzz_engine --serve-frames: %ld frame mutants OK\n"
-        "  dispatched: %ld, rejected pre-dispatch: %ld; cache %llu hits / "
-        "%llu misses\n",
-        mutants, dispatched_total, rejected_total,
+        "  dispatched: %ld, rejected pre-dispatch: %ld; unmutated frames "
+        "decoded byte-exact: %ld; cache %llu hits / %llu misses\n",
+        mutants, dispatched_total, rejected_total, exact_total,
         static_cast<unsigned long long>(cache_stats.hits),
         static_cast<unsigned long long>(cache_stats.misses));
     return 0;
