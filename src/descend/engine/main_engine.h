@@ -1,16 +1,9 @@
 /**
  * @file
- * The descend engine: the paper's main algorithm (Section 3.4).
- *
- * A compiled query automaton is simulated over the structural-event stream
- * with a *depth-stack* (Section 3.2): one depth counter, a kind bit-stack
- * (object vs array per open element), and a sparse stack of
- * (state, depth) frames pushed only when a label transition changes the
- * DFA state. All four skipping techniques of Section 3.3 are employed:
- * leaves (comma/colon toggling), children (depth-classifier fast-forward
- * on transitions into the trash state), siblings (fast-forward after a
- * unitary state's unique label matched), and skipping to a label
- * (memmem-style head-skipping for queries that begin with `..label`).
+ * The descend engine: the paper's main algorithm (Section 3.4) over one
+ * compiled query. The depth-stack simulation and its four skips live in
+ * engine/depth_stack.h, shared with the fused multi-query engine; this
+ * engine supplies the single-query report path.
  */
 #pragma once
 
@@ -76,13 +69,9 @@ public:
     const EngineOptions& options() const noexcept { return options_; }
 
 private:
-    /**
-     * The simulation itself lives in main_engine.cpp as a template over
-     * the sink type: the generic entry points instantiate it with the
-     * abstract MatchSink, the counting path with a concrete counter.
-     * @p budget governs the run (the plain entry points pass
-     * options().budget; the stream executor passes per-record budgets).
-     */
+    /** A template over the sink, so the counting path runs without a
+     *  virtual call. @p budget governs the run (options().budget, or the
+     *  stream executor's per-record budget). */
     template <typename Sink>
     RunStats dispatch(PaddedView document, Sink& sink,
                       const RunBudget& budget) const;

@@ -64,7 +64,7 @@ std::vector<TrieNode> build_trie(const MultiQuery& set, std::size_t first,
             }
             // A trailing filter is a wildcard arc here, exactly as in the
             // single-query automaton (nfa.cpp); its predicate runs when the
-            // engine reports a candidate (ProductSimulation::report_set).
+            // engine reports a candidate (SetReporter::report in fused.cpp).
             // Lowering it before the edge lookup lets `$.a[?(...)]` share
             // the `$.a.*` node with plain wildcards and other filters.
             const query::SelectorKind kind =

@@ -61,16 +61,15 @@ enum class Counter : std::uint8_t {
     kFusedWithinSkipSuppressed,   ///< always 0
     // --- set-compiled execution (src/descend/multi/fused.h) ---
     kProductStates,        ///< product automaton states, summed over parts (gauge)
-    kProductSkips,         ///< fast-forwards certified by a product state
     kSubscriberFanout,     ///< per-subscriber match emissions (incl. duplicates)
     // --- label search ---
     kLabelSearchCandidates,  ///< prefiltered quote candidates verified bytewise
     kLabelSearchHits,        ///< candidates confirmed as `"label":` members
     // --- classifier pipeline ---
-    kBatchRefills,        ///< classify_batch kernel calls (ring refills)
-    kBlocksClassified,    ///< blocks classified by those calls (refills x 8)
     kPipelineResumes,     ///< stop/resume switches (ring restarts with a
                           ///< re-seeded quote carry)
+    kBatchRefills,        ///< classify_batch kernel calls (ring refills)
+    kBlocksClassified,    ///< blocks classified by those calls (refills x 8)
     // --- per-block attribution (each input block counted exactly once,
     //     under the mode that first pulled it through a pipeline) ---
     kBlocksStructural,     ///< consumed by structural iteration
@@ -120,13 +119,12 @@ constexpr const char* counter_name(Counter id) noexcept
         case Counter::kFusedWithinSkipSuppressed:
             return "fused_within_skip_suppressed";
         case Counter::kProductStates: return "product_states";
-        case Counter::kProductSkips: return "product_skips";
         case Counter::kSubscriberFanout: return "subscriber_fanout";
         case Counter::kLabelSearchCandidates: return "label_search_candidates";
         case Counter::kLabelSearchHits: return "label_search_hits";
+        case Counter::kPipelineResumes: return "pipeline_resumes";
         case Counter::kBatchRefills: return "batch_refills";
         case Counter::kBlocksClassified: return "blocks_classified";
-        case Counter::kPipelineResumes: return "pipeline_resumes";
         case Counter::kBlocksStructural: return "blocks_structural";
         case Counter::kBlocksChildSkipped: return "blocks_child_skipped";
         case Counter::kBlocksSiblingSkipped: return "blocks_sibling_skipped";

@@ -141,6 +141,15 @@ private:
     std::string out_;
 };
 
+/** Appends @p pieces in order (GCC 12 warns falsely, -Wrestrict, on an
+ *  inlined `"literal" + string`). Each call below draws from the generator
+ *  at most once: argument evaluation order cannot reorder the draws. */
+template <typename... Pieces>
+void append(std::string& out, const Pieces&... pieces)
+{
+    ((out += pieces), ...);
+}
+
 }  // namespace
 
 std::string random_json(const RandomJsonOptions& options)
@@ -162,21 +171,21 @@ std::string random_query(std::uint64_t seed, int label_pool, int max_selectors,
         std::uint64_t arms = allow_indices ? (extended_selectors ? 9 : 6) : 5;
         switch (rng.below(arms)) {
             case 0:
-            case 1: query += "." + label(); break;
-            case 2: query += ".." + label(); break;
+            case 1: append(query, '.', label()); break;
+            case 2: append(query, "..", label()); break;
             case 3: query += ".*"; break;
             case 4:
                 if (rng.chance(35)) {
                     query += "..*";
                 } else {
-                    query += ".." + label();
+                    append(query, "..", label());
                 }
                 break;
-            case 5: query += "[" + std::to_string(rng.below(4)) + "]"; break;
+            case 5: append(query, '[', std::to_string(rng.below(4)), ']'); break;
             case 6: {
                 // Slice; sometimes open-ended, sometimes empty (hi <= lo).
                 std::uint64_t lo = rng.below(4);
-                query += "[" + std::to_string(lo) + ":";
+                append(query, '[', std::to_string(lo), ':');
                 if (!rng.chance(30)) {
                     query += std::to_string(rng.below(6));
                 }
@@ -186,10 +195,10 @@ std::string random_query(std::uint64_t seed, int label_pool, int max_selectors,
             case 7: {
                 // Union of 2..3 quoted labels; duplicates allowed (the
                 // parser dedups, exercising canonicalization).
-                query += "['" + label() + "'";
+                append(query, "['", label(), '\'');
                 std::uint64_t extra = rng.between(1, 2);
                 for (std::uint64_t m = 0; m < extra; ++m) {
-                    query += ",'" + label() + "'";
+                    append(query, ",'", label(), '\'');
                 }
                 query += "]";
                 break;
@@ -197,24 +206,24 @@ std::string random_query(std::uint64_t seed, int label_pool, int max_selectors,
             default:
                 // Bracket-quoted spelling of a plain child: same
                 // semantics as the dot form, distinct surface syntax.
-                query += "['" + label() + "']";
+                append(query, "['", label(), "']");
                 break;
         }
     }
     if (extended_selectors && rng.chance(30)) {
         // Trailing filter (the grammar allows filters only in final
         // position): existence, numeric and string comparisons.
-        query += "[?(@." + label();
+        append(query, "[?(@.", label());
         if (rng.chance(20)) {
-            query += "." + label();
+            append(query, '.', label());
         }
         switch (rng.below(6)) {
             case 0: break;
-            case 1: query += "==" + std::to_string(rng.below(4)); break;
-            case 2: query += "!='s" + std::to_string(rng.below(3)) + "'"; break;
-            case 3: query += "<" + std::to_string(rng.below(4)) + ".5"; break;
-            case 4: query += "<=" + std::to_string(rng.below(4)) + "e0"; break;
-            default: query += ">=" + std::to_string(rng.below(4)); break;
+            case 1: append(query, "==", std::to_string(rng.below(4))); break;
+            case 2: append(query, "!='s", std::to_string(rng.below(3)), '\''); break;
+            case 3: append(query, '<', std::to_string(rng.below(4)), ".5"); break;
+            case 4: append(query, "<=", std::to_string(rng.below(4)), "e0"); break;
+            default: append(query, ">=", std::to_string(rng.below(4))); break;
         }
         query += ")]";
     }

@@ -5,7 +5,9 @@
  * every configuration must produce identical match sets.
  *
  * Parameterized over (shape profile x seed block); each instance runs many
- * (document, query) pairs, so the suite covers thousands of cases.
+ * (document, query) pairs, so the suite covers thousands of cases. For
+ * open-ended runs of the same invariant (every skip-flag combination,
+ * extended selectors, the fused engine), use `fuzz_engine --selectors N`.
  */
 #include <gtest/gtest.h>
 
