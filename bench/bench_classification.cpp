@@ -218,8 +218,8 @@ std::vector<bench::BenchRow> run_pipeline_comparison()
         });
         std::printf("%-8s %14.2f %14.2f %8.2fx\n", kernels.name, perblock,
                     batched, batched / perblock);
-        rows.push_back({"pipeline", "perblock", kernels.name, perblock});
-        rows.push_back({"pipeline", "batched", kernels.name, batched});
+        rows.push_back({"pipeline", "perblock", kernels.name, perblock, {}});
+        rows.push_back({"pipeline", "batched", kernels.name, batched, {}});
     }
     std::printf("\n");
     return rows;

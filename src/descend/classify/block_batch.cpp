@@ -4,6 +4,24 @@
 
 namespace descend::classify {
 
+RunBalance RunBalance::partial(const simd::BlockMasks& masks,
+                               std::uint64_t valid) noexcept
+{
+    std::uint64_t in_string = masks.in_string & valid;
+    std::uint64_t not_string = ~in_string & valid;
+    RunBalance clipped;
+    clipped.object = bits::popcount(masks.open_braces & not_string) -
+                     bits::popcount(masks.close_braces & not_string);
+    clipped.array = bits::popcount(masks.open_brackets & not_string) -
+                    bits::popcount(masks.close_brackets & not_string);
+    // The string state at the end bound: the highest valid position's
+    // in-string bit (valid is a contiguous low mask, so its popcount is
+    // the index one past the top bit).
+    int top = bits::popcount(valid) - 1;
+    clipped.ends_in_string = top >= 0 && ((in_string >> top) & 1) != 0;
+    return clipped;
+}
+
 const simd::BlockMasks& BatchedBlockStream::refill(std::size_t block_start) noexcept
 {
     // Refills are contiguous-only: either the ring was just invalidated by

@@ -25,6 +25,14 @@
  * a restart(). All pipeline consumers walk blocks monotonically, so this
  * holds by construction.
  *
+ * Consumer contract: a consumer that moves over blocks does so with walk(),
+ * which steps through the ring with its position in locals and sums the
+ * blocks' bracket balances (RunBalance) as it goes. The consumer keeps its
+ * own per-block state in locals too, writes it back once when the walk
+ * stops, and accounts the whole run once (StructuralValidator::account_run,
+ * obs::BlockAccountant::account_run) — not block by block through
+ * pointers, which forces every store and reload on the hot path.
+ *
  * Padding contract: a refill at block_start reads kBatchSize bytes from
  * there. The last possible refill starts at the final (possibly partial)
  * block of the input, so the buffer must keep PaddedString::kPadding >=
@@ -39,10 +47,61 @@
 #include "descend/classify/quote_classifier.h"
 #include "descend/obs/counters.h"
 #include "descend/simd/dispatch.h"
+#include "descend/util/bits.h"
 #include "descend/util/budget.h"
 #include "descend/util/status.h"
 
 namespace descend::classify {
+
+/** Positions of the block at @p block_start that lie below @p size: all
+ *  ones except in the final partial block of an input, where the bytes
+ *  past @p size belong to the surrounding buffer. Quote and escape
+ *  analysis run strictly left to right within a block, so the masks'
+ *  bits below the bound are right whatever the tail bytes hold: clipping
+ *  them is all a slice needs. */
+inline std::uint64_t valid_mask(std::size_t block_start, std::size_t size) noexcept
+{
+    std::size_t remaining = size - block_start;
+    return remaining >= simd::kBlockSize
+               ? ~std::uint64_t{0}
+               : bits::mask_below(static_cast<int>(remaining));
+}
+
+/**
+ * What the whole-document structural check needs of a run of consecutive
+ * blocks: the per-kind bracket balances outside strings, and whether the
+ * run's last valid position is inside a string. walk() sums it in the
+ * consumer's locals; StructuralValidator::account_run takes it once.
+ */
+struct RunBalance {
+    std::int64_t object = 0;  ///< '{' minus '}'
+    std::int64_t array = 0;   ///< '[' minus ']'
+    bool ends_in_string = false;
+
+    /** Adds one block. @p valid is its valid_mask(): a whole block adds
+     *  the batch's counts, a partial last block counts its clipped masks. */
+    void add(const simd::BlockMasks& masks, std::uint64_t valid) noexcept
+    {
+        if (valid != ~std::uint64_t{0}) [[unlikely]] {
+            // By value, so the walk's balance never escapes its registers.
+            RunBalance clipped = partial(masks, valid);
+            object += clipped.object;
+            array += clipped.array;
+            ends_in_string = clipped.ends_in_string;
+            return;
+        }
+        object += static_cast<int>(masks.counts.open_braces) -
+                  static_cast<int>(masks.counts.close_braces);
+        array += static_cast<int>(masks.counts.open_brackets) -
+                 static_cast<int>(masks.counts.close_brackets);
+        ends_in_string = (masks.in_string >> 63) != 0;
+    }
+
+private:
+    /** The balance of a partial block, from its masks clipped to @p valid. */
+    static RunBalance partial(const simd::BlockMasks& masks,
+                              std::uint64_t valid) noexcept;
+};
 
 class BatchedBlockStream {
 public:
@@ -109,6 +168,51 @@ public:
         carry_.in_string = state.in_string_carry;
         ring_start_ = kInvalid;
         obs::add(counters_, obs::Counter::kPipelineResumes);
+    }
+
+    /**
+     * The consumer block walk. Offers the blocks from @p pos on, in order,
+     * to @p stop(masks, block_start, bound), stepping through the ring
+     * with the position in locals, and ends at the first block @p stop
+     * accepts. @p bound is the block's valid_mask(block_start, size); for
+     * the first block also ANDed with @p live. Every block the walk
+     * enters is added to @p balance before it is offered. With
+     * @p at_current the first block is the consumer's current block,
+     * already entered: it is offered (from the bits of @p live on, e.g. a
+     * floor) but not added again.
+     *
+     * Returns the stopping block's masks with @p pos at its start. Returns
+     * null with @p pos at the block-aligned end of input when no block
+     * stopped the walk, or with @p pos at the first block of a refill that
+     * latched interrupt() (that block is not added).
+     */
+    template <typename Stop>
+    const simd::BlockMasks* walk(std::size_t& pos, std::size_t size,
+                                 RunBalance& balance, Stop&& stop,
+                                 bool at_current = false,
+                                 std::uint64_t live = ~std::uint64_t{0}) noexcept
+    {
+        bool entered = !at_current;
+        while (pos < size) {
+            const simd::BlockMasks* block = &masks(pos);
+            if (!interrupt_.ok()) {
+                return nullptr;
+            }
+            const simd::BlockMasks* batch_end = ring_ + simd::kBatchBlocks;
+            do {
+                std::uint64_t valid = valid_mask(pos, size);
+                if (entered) {
+                    balance.add(*block, valid);
+                }
+                if (stop(*block, pos, valid & live)) {
+                    return block;
+                }
+                entered = true;
+                live = ~std::uint64_t{0};
+                pos += simd::kBlockSize;
+            } while (++block != batch_end && pos < size);
+        }
+        return nullptr;
     }
 
     /** The quote state at the entry of a block's cached masks. */

@@ -19,14 +19,6 @@ DepthMasks depth_masks(const simd::Kernels& kernels, const std::uint8_t* block,
     return masks;
 }
 
-DepthMasks depth_masks(const simd::BlockMasks& masks, BracketKind kind) noexcept
-{
-    if (kind == BracketKind::kObject) {
-        return {masks.open_braces, masks.close_braces};
-    }
-    return {masks.open_brackets, masks.close_brackets};
-}
-
 int walk_to_depth_zero(DepthMasks masks, int& relative_depth) noexcept
 {
     std::uint64_t consumed_openers = 0;

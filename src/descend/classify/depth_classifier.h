@@ -50,7 +50,14 @@ DepthMasks depth_masks(const simd::Kernels& kernels, const std::uint8_t* block,
 
 /** Same view over a pre-classified block's masks — a free recomposition,
  *  no kernel call. The caller still ANDs out in-string positions. */
-DepthMasks depth_masks(const simd::BlockMasks& masks, BracketKind kind) noexcept;
+inline DepthMasks depth_masks(const simd::BlockMasks& masks,
+                              BracketKind kind) noexcept
+{
+    if (kind == BracketKind::kObject) {
+        return {masks.open_braces, masks.close_braces};
+    }
+    return {masks.open_brackets, masks.close_brackets};
+}
 
 /** The batch's counts outside strings for one bracket kind. They match
  *  depth_masks(masks, kind) with in-string positions ANDed out — i.e.

@@ -202,62 +202,6 @@ private:
             return counting_ ? alphabet.index_symbol(entry_index) : other_;
         };
 
-        // The Section 4.5 extension: in a waiting, non-accepting state,
-        // fast-forward straight to the awaited label anywhere within the
-        // current element (or to the element's closer). Sound because every
-        // skipped event would leave the state unchanged and cannot match;
-        // atoms carrying the label are reported in-line. Returns with the
-        // iterator positioned either at a matching member's container value
-        // (depth/kinds extended to the containers opened on the way) or at
-        // the element's pending closer.
-        auto within_skip = [&](int current_state, int& current_depth,
-                               BitStack& current_kinds) {
-            int symbol = cq.waiting_symbol(current_state);
-            if (symbol < 0 || cq.flags(current_state).accepting || counting_) {
-                return;
-            }
-            const std::string& label = alphabet.label(symbol);
-            int leaf_target = cq.transition(current_state, symbol);
-            bool leaf_accepting = cq.flags(leaf_target).accepting;
-            BitStack opened;
-            int relative_depth = 1;
-            while (true) {
-                StructuralIterator::WithinResult found = iter.skip_to_label_within(
-                    label, opened, relative_depth,
-                    static_cast<std::size_t>(current_depth) - 1);
-                stats_.counters.add(obs::Counter::kWithinSkips);
-                if (found.outcome != StructuralIterator::WithinResult::Outcome::
-                                         kFoundLabel) {
-                    return;  // element closer pending (or malformed input)
-                }
-                std::uint8_t first = found.value_pos < iter.size()
-                                         ? iter.data()[found.value_pos]
-                                         : 0;
-                if (first == classify::kOpenBrace ||
-                    first == classify::kOpenBracket) {
-                    // The main loop takes over at the value's opening; its
-                    // label transition fires there. Account for the
-                    // containers the scan entered on the way.
-                    for (std::size_t i = 0; i < opened.size(); ++i) {
-                        current_kinds.push(opened.bit_at(i));
-                    }
-                    current_depth += static_cast<int>(opened.size());
-                    if (static_cast<std::size_t>(current_depth) >
-                        options_.limits.max_depth) {
-                        fail(StatusCode::kDepthLimit, found.value_pos);
-                    }
-                    return;
-                }
-                if (leaf_accepting) {
-                    report(leaf_target, found.value_pos);
-                    if (!status_.ok()) {
-                        return;
-                    }
-                }
-                // Atomic value: keep scanning from just past it.
-            }
-        };
-
         // First item of an array (Section 3.4, try_match_first_item): it is
         // not preceded by a comma, so atoms are matched here.
         auto try_match_first_item = [&](std::size_t open_pos, int current_state) {
@@ -370,7 +314,7 @@ private:
                         try_match_first_item(event.pos, state);
                     }
                     if (options_.label_within_skipping) {
-                        within_skip(state, depth, kinds);
+                        within_skip(iter, state, depth, kinds);
                     }
                     break;
                 }
@@ -417,7 +361,7 @@ private:
                     }
                     toggle(state, kinds.top());
                     if (options_.label_within_skipping) {
-                        within_skip(state, depth, kinds);
+                        within_skip(iter, state, depth, kinds);
                     }
                     break;
                 }
@@ -476,6 +420,65 @@ private:
                     }
                     return;
             }
+        }
+    }
+
+    /**
+     * The Section 4.5 extension: in a waiting, non-accepting state,
+     * fast-forwards straight to the awaited label anywhere within the
+     * current element (or to the element's closer). Sound because every
+     * skipped event would leave the state unchanged and cannot match;
+     * atoms carrying the label are reported in-line. Returns with the
+     * iterator positioned either at a matching member's container value
+     * (@p depth / @p kinds extended to the containers opened on the way)
+     * or at the element's pending closer.
+     *
+     * Pinned out of line: inlined, it grows run_main_loop by half and
+     * measurably slows the counting sets that never call it.
+     */
+    [[gnu::noinline]] void within_skip(StructuralIterator& iter, int state,
+                                       int& depth, BitStack& kinds)
+    {
+        const Automaton& cq = automaton_;
+        int symbol = cq.waiting_symbol(state);
+        if (symbol < 0 || cq.flags(state).accepting || counting_) {
+            return;
+        }
+        const std::string& label = alphabet_.label(symbol);
+        int leaf_target = cq.transition(state, symbol);
+        bool leaf_accepting = cq.flags(leaf_target).accepting;
+        BitStack opened;
+        int relative_depth = 1;
+        while (true) {
+            StructuralIterator::WithinResult found = iter.skip_to_label_within(
+                label, opened, relative_depth, static_cast<std::size_t>(depth) - 1);
+            stats_.counters.add(obs::Counter::kWithinSkips);
+            if (found.outcome !=
+                StructuralIterator::WithinResult::Outcome::kFoundLabel) {
+                return;  // element closer pending (or malformed input)
+            }
+            std::uint8_t first =
+                found.value_pos < iter.size() ? iter.data()[found.value_pos] : 0;
+            if (first == classify::kOpenBrace || first == classify::kOpenBracket) {
+                // The main loop takes over at the value's opening; its
+                // label transition fires there. Account for the
+                // containers the scan entered on the way.
+                for (std::size_t i = 0; i < opened.size(); ++i) {
+                    kinds.push(opened.bit_at(i));
+                }
+                depth += static_cast<int>(opened.size());
+                if (static_cast<std::size_t>(depth) > options_.limits.max_depth) {
+                    fail(StatusCode::kDepthLimit, found.value_pos);
+                }
+                return;
+            }
+            if (leaf_accepting) {
+                report(leaf_target, found.value_pos);
+                if (!status_.ok()) {
+                    return;
+                }
+            }
+            // Atomic value: keep scanning from just past it.
         }
     }
 

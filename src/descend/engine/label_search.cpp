@@ -17,7 +17,7 @@ LabelSearch::LabelSearch(PaddedView input, const simd::Kernels& kernels,
     : data_(input.data()),
       size_(input.size()),
       end_((input.size() + simd::kBlockSize - 1) / simd::kBlockSize * simd::kBlockSize),
-      // Probe byte = the label's first byte: classify_block() reads its
+      // Probe byte = the label's first byte: enter() reads its
       // first-byte prefilter off each block's probe mask.
       blocks_(input.data(), kernels,
               accountant == nullptr ? nullptr : accountant->counters(), budget,
@@ -28,60 +28,57 @@ LabelSearch::LabelSearch(PaddedView input, const simd::Kernels& kernels,
       accountant_(accountant)
 {
     if (end_ > 0) {
-        classify_block();
+        enter(0, 0);
     }
 }
 
-void LabelSearch::classify_block()
+bool LabelSearch::enter(std::size_t from, std::size_t stop_at)
 {
-    const simd::BlockMasks& masks = blocks_.masks(block_start_);
-    if (!blocks_.interrupt().ok()) {
-        // Budget violation latched by the refill: park the search; the
-        // engine reads status() once next() runs dry.
-        if (status_.ok()) {
-            status_ = blocks_.interrupt();
-        }
-        block_start_ = end_;
-        candidates_ = 0;
-        return;
-    }
-    block_entry_quote_state_ = classify::BatchedBlockStream::entry_state(masks);
-    // Slice end bound: clip the final partial block so candidates (and the
-    // validator's balances) never come from past-the-end bytes.
-    std::uint64_t valid = size_ - block_start_ >= simd::kBlockSize
-                              ? ~std::uint64_t{0}
-                              : bits::mask_below(static_cast<int>(size_ - block_start_));
-    std::uint64_t in_string = masks.in_string & valid;
-    std::uint64_t unescaped_quotes = masks.unescaped_quotes & valid;
+    // Candidates are string-opening quotes: unescaped quotes whose
+    // in-string bit is set (the opening quote is inside its own string
+    // under our convention), clipped to the slice end bound. First-byte
+    // prefilter: the byte after the quote must be the label's first byte,
+    // the stream's probe byte. Bit 63's successor lives in the next block,
+    // so it is kept unconditionally and left to bytewise verification.
+    const std::uint64_t keep =
+        label_.empty() ? ~std::uint64_t{0} : std::uint64_t{1} << 63;
+    std::uint64_t candidates = 0;
+    std::size_t pos = from;
+    classify::RunBalance balance;
+    const simd::BlockMasks* masks = blocks_.walk(
+        pos, size_, balance,
+        [&](const simd::BlockMasks& block, std::size_t block_start,
+            std::uint64_t valid) {
+            candidates = block.unescaped_quotes & block.in_string & valid &
+                         ((block.probe >> 1) | keep);
+            return candidates != 0 || block_start >= stop_at;
+        });
+    const std::size_t to = masks != nullptr ? pos + simd::kBlockSize : pos;
     if (validator_ != nullptr) {
-        validator_->account(masks, block_start_, valid);
+        validator_->account_run(from, to, balance);
     }
     if (accountant_ != nullptr) {
-        accountant_->account_as(block_start_, obs::BlockMode::kHeadSkip);
+        accountant_->account_run(from, to, obs::BlockMode::kHeadSkip);
     }
-    // String-opening quotes: unescaped quotes whose in-string bit is set
-    // (the opening quote is inside its own string under our convention).
-    candidates_ = unescaped_quotes & in_string;
-    if (!label_.empty()) {
-        // First-byte prefilter: the byte after the opening quote must be the
-        // label's first byte, which is the stream's probe byte. Bit 63's
-        // successor lives in the next block, so it is kept unconditionally
-        // and left to bytewise verification.
-        candidates_ &= (masks.probe >> 1) | (1ULL << 63);
-    }
-}
-
-bool LabelSearch::advance_block()
-{
-    block_start_ += simd::kBlockSize;
-    if (block_start_ >= end_) {
+    if (masks == nullptr) {
+        // End of input, or a budget violation latched by a refill: park
+        // the search; the engine reads status() once next() runs dry.
+        if (!blocks_.interrupt().ok() && status_.ok()) {
+            latch_interrupt();
+        }
         block_start_ = end_;
         candidates_ = 0;
         return false;
     }
-    classify_block();
-    // classify_block may have parked the search on a budget interrupt.
-    return block_start_ < end_;
+    block_start_ = pos;
+    candidates_ = candidates;
+    block_entry_quote_state_ = classify::BatchedBlockStream::entry_state(*masks);
+    return true;
+}
+
+void LabelSearch::latch_interrupt()
+{
+    status_ = blocks_.interrupt();
 }
 
 bool LabelSearch::verify(std::size_t quote_pos, std::size_t& colon_pos) const
@@ -123,7 +120,7 @@ std::optional<LabelSearch::Occurrence> LabelSearch::next()
                 return Occurrence{quote_pos, colon_pos};
             }
         }
-        if (!advance_block()) {
+        if (!enter(block_start_ + simd::kBlockSize, end_)) {
             break;
         }
     }
@@ -133,14 +130,15 @@ std::optional<LabelSearch::Occurrence> LabelSearch::next()
 ResumePoint LabelSearch::resume_point_at(std::size_t pos)
 {
     std::size_t target_block = pos / simd::kBlockSize * simd::kBlockSize;
-    while (block_start_ < target_block && advance_block()) {
+    while (block_start_ < target_block &&
+           enter(block_start_ + simd::kBlockSize, target_block)) {
     }
     ResumePoint point;
     point.block_start = block_start_;
     point.quote_state = block_entry_quote_state_;
     // Normalize the floor into [0, kBlockSize): when @p pos sits at or past
     // the end of the classified range (a block boundary, or beyond the
-    // final partial block), advance_block() parked at end_ and the naive
+    // final partial block), enter() parked at end_ and the naive
     // pos - block_start_ would be >= 64 — an out-of-range shift amount for
     // the receiver's resume mask. Park such points at the aligned end with
     // floor 0 instead; every receiver treats block_start >= end as spent.
@@ -164,7 +162,9 @@ void LabelSearch::resume(const ResumePoint& point)
         return;
     }
     blocks_.restart(point.quote_state);
-    classify_block();
+    if (!enter(block_start_, block_start_)) {
+        return;  // parked on a budget interrupt
+    }
     // An iterator that consumed bit 63 legitimately hands over floor == 64
     // ("this block is spent"); clamp so the mask index stays in range.
     int floor = point.floor < 0 ? 0 : point.floor;

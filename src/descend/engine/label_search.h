@@ -75,8 +75,17 @@ public:
     void resume(const ResumePoint& point);
 
 private:
-    bool advance_block();
-    void classify_block();
+    /**
+     * The search's one block walk: enters blocks from @p from on, with the
+     * position and the candidate test in locals, and stops at the first
+     * block that holds a candidate or starts at or after @p stop_at. That
+     * block becomes current; the run is accounted once, as head-skip.
+     * Returns false (parked, candidates_ empty) at end of input or on a
+     * latched budget interrupt.
+     */
+    bool enter(std::size_t from, std::size_t stop_at);
+    /** Takes a budget interrupt the block stream latched into status(). */
+    [[gnu::cold]] void latch_interrupt();
     bool verify(std::size_t quote_pos, std::size_t& colon_pos) const;
 
     const std::uint8_t* data_;

@@ -26,7 +26,7 @@ StructuralIterator::StructuralIterator(PaddedView input,
       max_skip_depth_(max_skip_depth)
 {
     if (end_ > 0) {
-        classify_block(/*with_structural=*/true);
+        enter_structural(0, /*first_only=*/true);
     }
 }
 
@@ -40,17 +40,6 @@ void StructuralIterator::fail(StatusCode code, std::size_t offset)
     block_start_ = end_;
     struct_mask_ = 0;
     in_string_ = 0;
-}
-
-std::uint64_t StructuralIterator::block_valid_mask() const noexcept
-{
-    // Quote and escape analysis are strictly left-to-right within a block,
-    // so bits below the end bound are correct no matter what the tail
-    // bytes hold; clipping the masks is all slice support needs.
-    std::size_t remaining = size_ - block_start_;
-    return remaining >= simd::kBlockSize
-               ? ~std::uint64_t{0}
-               : bits::mask_below(static_cast<int>(remaining));
 }
 
 std::uint64_t StructuralIterator::compose_structural(
@@ -67,97 +56,95 @@ std::uint64_t StructuralIterator::compose_structural(
     return composed;
 }
 
-void StructuralIterator::classify_block(bool with_structural)
+template <typename Stop>
+const simd::BlockMasks* StructuralIterator::enter(std::size_t from,
+                                                 obs::BlockMode mode, Stop&& stop,
+                                                 bool at_current)
 {
-    const simd::BlockMasks& masks = blocks_.masks(block_start_);
-    if (!blocks_.interrupt().ok()) {
-        // A refill latched a budget violation (or an armed failpoint):
-        // park exactly like malformed input — validator accounting stops
-        // here too, which is fine because a non-ok status means the
-        // structural verdict is never consulted.
-        fail(blocks_.interrupt().code, blocks_.interrupt().offset);
-        return;
-    }
-    block_entry_quote_state_ = classify::BatchedBlockStream::entry_state(masks);
-    std::uint64_t valid = block_valid_mask();
-    in_string_ = masks.in_string & valid;
-    unescaped_quotes_ = masks.unescaped_quotes & valid;
+    std::size_t pos = from;
+    classify::RunBalance balance;
+    const simd::BlockMasks* masks =
+        blocks_.walk(pos, size_, balance, stop, at_current,
+                     at_current ? bits::mask_from(floor_) : ~std::uint64_t{0});
+    // The run: the blocks the walk entered (not a current block it began in).
+    const std::size_t run_from = at_current ? from + simd::kBlockSize : from;
+    const std::size_t to = masks != nullptr ? pos + simd::kBlockSize : pos;
     if (validator_ != nullptr) {
-        validator_->account(masks, block_start_, valid);
+        validator_->account_run(run_from, to, balance);
     }
     if (accountant_ != nullptr) {
-        accountant_->account(block_start_);
+        accountant_->account_run(run_from, to, mode);
     }
-    struct_mask_ =
-        with_structural ? (compose_structural(masks) & ~in_string_ & valid) : 0;
+    if (masks != nullptr) {
+        block_start_ = pos;
+        std::uint64_t valid = block_valid_mask();
+        in_string_ = masks->in_string & valid;
+        unescaped_quotes_ = masks->unescaped_quotes & valid;
+        block_entry_quote_state_ = classify::BatchedBlockStream::entry_state(*masks);
+        return masks;
+    }
+    end_walk(pos > run_from, balance.ends_in_string);
+    return nullptr;
 }
 
-bool StructuralIterator::advance_block(bool with_structural)
+void StructuralIterator::end_walk(bool entered, bool ends_in_string)
 {
-    block_start_ += simd::kBlockSize;
-    floor_ = 0;
-    if (block_start_ >= end_) {
-        block_start_ = end_;
-        struct_mask_ = 0;
-        // End of input inside a string: nothing within the bound can close
-        // it, so the final string is unterminated. The last in-bound
-        // in-string bit of the previous block is exactly "still open"
-        // (opening quotes are in-string inclusive, closing exclusive);
-        // for block-aligned input that is the block's top bit, which
-        // equals the quote carry.
+    // End of input inside a string: nothing within the bound can close
+    // it, so the final string is unterminated. The last in-bound in-string
+    // bit of the final block is exactly "still open" (opening quotes are
+    // in-string inclusive, closing exclusive): the walk's balance holds it
+    // when the walk entered that block, the current block's in_string_
+    // when it is the final one.
+    bool open_at_end = ends_in_string;
+    if (!entered) {
         std::size_t tail = size_ % simd::kBlockSize;
         int last_bit = tail == 0 ? 63 : static_cast<int>(tail) - 1;
-        bool open_at_end = ((in_string_ >> last_bit) & 1) != 0;
-        in_string_ = 0;
-        if (open_at_end) {
-            fail(StatusCode::kTruncatedString, size_);
+        open_at_end = ((in_string_ >> last_bit) & 1) != 0;
+    }
+    block_start_ = end_;
+    floor_ = 0;
+    struct_mask_ = 0;
+    in_string_ = 0;
+    if (!blocks_.interrupt().ok()) {
+        // A refill latched a budget violation (or an armed failpoint):
+        // parked exactly like malformed input — validator accounting
+        // stops before the refill's block, which is fine because a non-ok
+        // status means the structural verdict is never consulted.
+        if (status_.ok()) {
+            latch_interrupt();
         }
+        return;
+    }
+    if (open_at_end) {
+        fail(StatusCode::kTruncatedString, size_);
+    }
+}
+
+void StructuralIterator::latch_interrupt()
+{
+    status_ = blocks_.interrupt();
+}
+
+bool StructuralIterator::enter_structural(std::size_t from, bool first_only)
+{
+    std::uint64_t mask = 0;
+    if (enter(from, obs::BlockMode::kStructural,
+              [&](const simd::BlockMasks& masks, std::size_t,
+                  std::uint64_t valid) {
+                  mask = compose_structural(masks) & ~masks.in_string & valid;
+                  return first_only || mask != 0;
+              }) == nullptr) {
         return false;
     }
-    classify_block(with_structural);
-    // classify_block may have parked the iterator (budget interrupt): the
-    // parked position is end_, which callers must observe as exhaustion —
-    // a seek() or skip continuing past a park would underflow its floor.
-    return block_start_ < end_;
+    floor_ = 0;
+    struct_mask_ = mask;
+    return true;
 }
 
-StructuralIterator::Event StructuralIterator::event_at(int bit) const
+bool StructuralIterator::advance()
 {
-    std::size_t pos = block_start_ + static_cast<std::size_t>(bit);
-    std::uint8_t byte = data_[pos];
-    Kind kind;
-    switch (byte) {
-        case classify::kOpenBrace:
-        case classify::kOpenBracket: kind = Kind::kOpening; break;
-        case classify::kCloseBrace:
-        case classify::kCloseBracket: kind = Kind::kClosing; break;
-        case classify::kColon: kind = Kind::kColon; break;
-        default: kind = Kind::kComma; break;
-    }
-    return {kind, byte, pos};
-}
-
-StructuralIterator::Event StructuralIterator::next()
-{
-    while (struct_mask_ == 0) {
-        if (block_start_ >= end_ || !advance_block(/*with_structural=*/true)) {
-            return {Kind::kNone, 0, size_};
-        }
-    }
-    int bit = bits::trailing_zeros(struct_mask_);
-    struct_mask_ = bits::clear_lowest_bit(struct_mask_);
-    floor_ = bit + 1;
-    return event_at(bit);
-}
-
-StructuralIterator::Event StructuralIterator::peek()
-{
-    while (struct_mask_ == 0) {
-        if (block_start_ >= end_ || !advance_block(/*with_structural=*/true)) {
-            return {Kind::kNone, 0, size_};
-        }
-    }
-    return event_at(bits::trailing_zeros(struct_mask_));
+    return block_start_ < end_ &&
+           enter_structural(block_start_ + simd::kBlockSize, /*first_only=*/false);
 }
 
 void StructuralIterator::set_commas(bool enabled, bool eager_disable)
@@ -235,8 +222,12 @@ std::optional<std::string_view> StructuralIterator::label_before(std::size_t pos
 
 void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
                                                bool consume_closer,
-                                               std::size_t base_depth)
+                                               std::size_t base_depth,
+                                               obs::BlockMode mode)
 {
+    if (block_start_ >= end_) {
+        return;  // parked
+    }
     // The limit is absolute: @p base_depth containers surround the element
     // whose nesting the counters below track, so the relative bound is
     // what remains of the budget. Callers guarantee the skipped element
@@ -251,45 +242,58 @@ void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
     const std::size_t max_relative =
         max_skip_depth_ - (base_depth < max_skip_depth_ ? base_depth
                                                         : max_skip_depth_);
+    constexpr std::size_t kNoLimitHit = ~std::size_t{0};
     int relative_depth = 1;
     int true_depth = 1;
-    std::uint64_t live = bits::mask_from(floor_);
-    while (block_start_ < end_) {
-        const simd::BlockMasks& block_masks = blocks_.masks(block_start_);
+    int index = -1;
+    std::size_t limit_hit = kNoLimitHit;
+    // One block of the fast-forward; true stops the walk there (the
+    // closer found, or the depth limit hit). @p bound: the block's
+    // positions within the end bound and above the floor.
+    auto step = [&](const simd::BlockMasks& block_masks, std::size_t block_start,
+                    std::uint64_t bound) {
+        const simd::BracketCounts& all = block_masks.counts;
+        const int all_opener_count = all.open_braces + all.open_brackets;
+        const bool whole = bound == ~std::uint64_t{0};
+        classify::DepthCounts counts;
+        if (whole) {
+            // The batch counts settle a whole block when its closers are
+            // fewer than the relative depth (the depth cannot reach zero
+            // here, Section 4.4) and its openers cannot pass the absolute
+            // limit: two adds, no mask work.
+            counts = classify::depth_counts(block_masks, kind);
+            if (counts.closers < relative_depth &&
+                static_cast<std::size_t>(true_depth) +
+                        static_cast<std::size_t>(all_opener_count) <=
+                    max_relative) {
+                relative_depth += counts.openers - counts.closers;
+                true_depth += all_opener_count - all.close_braces - all.close_brackets;
+                return false;
+            }
+        }
         classify::DepthMasks masks = classify::depth_masks(block_masks, kind);
-        std::uint64_t valid = block_valid_mask();
-        std::uint64_t in_bound = ~in_string_ & live & valid;
+        const std::uint64_t in_bound = ~block_masks.in_string & bound;
         masks.openers &= in_bound;
         masks.closers &= in_bound;
-        std::uint64_t all_openers =
+        const std::uint64_t all_openers =
             (block_masks.open_braces | block_masks.open_brackets) & in_bound;
-        std::uint64_t all_closers =
+        const std::uint64_t all_closers =
             (block_masks.close_braces | block_masks.close_brackets) & in_bound;
-        // A whole block takes its counts from the batch; the first block
-        // (clipped by the floor) and a slice's partial last block count
-        // their clipped masks.
-        classify::DepthCounts counts;
-        int all_opener_count;
-        int all_closer_count;
-        if ((live & valid) == ~std::uint64_t{0}) {
-            counts = classify::depth_counts(block_masks, kind);
-            all_opener_count =
-                block_masks.counts.open_braces + block_masks.counts.open_brackets;
-            all_closer_count =
-                block_masks.counts.close_braces + block_masks.counts.close_brackets;
-        } else {
+        // The first block (clipped by the floor) and a slice's partial
+        // last block count their clipped masks.
+        int opener_count = all_opener_count;
+        int closer_count = all.close_braces + all.close_brackets;
+        if (!whole) {
             counts = {bits::popcount(masks.openers), bits::popcount(masks.closers)};
-            all_opener_count = bits::popcount(all_openers);
-            all_closer_count = bits::popcount(all_closers);
+            opener_count = bits::popcount(all_openers);
+            closer_count = bits::popcount(all_closers);
         }
-        int index;
         if (static_cast<std::size_t>(true_depth) +
-                static_cast<std::size_t>(all_opener_count) >
+                static_cast<std::size_t>(opener_count) >
             max_relative) {
             // The bit-parallel step would hide an intra-block depth
             // excursion past the limit: enforce it with an exact scan of
             // this block (the guard almost never fires at sane limits).
-            index = -1;
             for (bits::BitIter it(all_openers | all_closers); !it.done();
                  it.advance()) {
                 int bit = it.index();
@@ -300,9 +304,8 @@ void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
                     // a later stage, not a depth-limit hit.
                     if (true_depth >= 0 &&
                         static_cast<std::size_t>(true_depth) >= max_relative) {
-                        fail(StatusCode::kDepthLimit,
-                             block_start_ + static_cast<std::size_t>(bit));
-                        return;
+                        limit_hit = block_start + static_cast<std::size_t>(bit);
+                        return true;
                     }
                     ++true_depth;
                     if (masks.openers & bit_mask) {
@@ -312,70 +315,78 @@ void StructuralIterator::skip_until_depth_zero(classify::BracketKind kind,
                     --true_depth;
                     if ((masks.closers & bit_mask) && --relative_depth == 0) {
                         index = bit;
-                        break;
+                        return true;
                     }
                 }
             }
         } else {
             index = classify::find_depth_zero(masks, counts, relative_depth);
-            true_depth += all_opener_count - all_closer_count;
-        }
-        if (index >= 0) {
-            floor_ = consume_closer ? index + 1 : index;
-            struct_mask_ = compose_structural(block_masks) & ~in_string_ &
-                           bits::mask_from(floor_) & valid;
-            return;
+            if (index >= 0) {
+                return true;
+            }
+            true_depth += opener_count - closer_count;
         }
         if (true_depth > 0 &&
             static_cast<std::size_t>(true_depth) > max_relative) {
-            fail(StatusCode::kDepthLimit, block_start_ + simd::kBlockSize);
-            return;
+            limit_hit = block_start + simd::kBlockSize;
+            return true;
         }
-        if (!advance_block(/*with_structural=*/false)) {
-            // Malformed input: the element never closed. advance_block
-            // already flagged a truncated string if one swallowed the
-            // closer; otherwise the structure is unbalanced.
-            fail(StatusCode::kUnbalancedStructure, size_);
-            return;
-        }
-        live = ~0ULL;
+        return false;
+    };
+    const simd::BlockMasks* masks = enter(block_start_, mode, step, /*at_current=*/true);
+    if (masks == nullptr) {
+        // Malformed input: the element never closed. enter() already
+        // flagged a truncated string if one swallowed the closer (or a
+        // latched interrupt); otherwise the structure is unbalanced.
+        fail(StatusCode::kUnbalancedStructure, size_);
+        return;
     }
+    if (limit_hit != kNoLimitHit) {
+        fail(StatusCode::kDepthLimit, limit_hit);
+        return;
+    }
+    floor_ = consume_closer ? index + 1 : index;
+    struct_mask_ = compose_structural(*masks) & ~in_string_ &
+                   bits::mask_from(floor_) & block_valid_mask();
 }
 
 void StructuralIterator::skip_element(std::uint8_t opening_byte,
                                       std::size_t base_depth)
 {
-    obs::ModeScope mode(accountant_, obs::BlockMode::kChildSkip);
     skip_until_depth_zero(opening_byte == classify::kOpenBrace
                               ? classify::BracketKind::kObject
                               : classify::BracketKind::kArray,
-                          /*consume_closer=*/true, base_depth);
+                          /*consume_closer=*/true, base_depth,
+                          obs::BlockMode::kChildSkip);
 }
 
 void StructuralIterator::skip_to_parent_close(bool parent_is_object,
                                               std::size_t base_depth)
 {
-    obs::ModeScope mode(accountant_, obs::BlockMode::kSiblingSkip);
     skip_until_depth_zero(parent_is_object ? classify::BracketKind::kObject
                                            : classify::BracketKind::kArray,
-                          /*consume_closer=*/false, base_depth);
+                          /*consume_closer=*/false, base_depth,
+                          obs::BlockMode::kSiblingSkip);
 }
 
-void StructuralIterator::seek(std::size_t pos)
+void StructuralIterator::seek(std::size_t pos, obs::BlockMode mode)
 {
-    std::size_t target_block = pos / simd::kBlockSize * simd::kBlockSize;
-    while (block_start_ < target_block) {
-        if (!advance_block(/*with_structural=*/false)) {
-            return;
-        }
-    }
     if (block_start_ >= end_) {
         // Parked (failed/interrupted) before reaching @p pos: stay parked
         // instead of computing a negative floor against end_.
         return;
     }
+    const std::size_t target_block = pos / simd::kBlockSize * simd::kBlockSize;
+    const simd::BlockMasks* masks =
+        enter(block_start_, mode,
+              [&](const simd::BlockMasks&, std::size_t block_start,
+                  std::uint64_t) { return block_start >= target_block; },
+              /*at_current=*/true);
+    if (masks == nullptr) {
+        return;
+    }
     floor_ = static_cast<int>(pos - block_start_);
-    struct_mask_ = compose_structural(blocks_.masks(block_start_)) & ~in_string_ &
+    struct_mask_ = compose_structural(*masks) & ~in_string_ &
                    bits::mask_from(floor_) & block_valid_mask();
 }
 
@@ -383,18 +394,23 @@ StructuralIterator::WithinResult StructuralIterator::skip_to_label_within(
     std::string_view escaped_label, BitStack& opened, int& relative_depth,
     std::size_t base_depth)
 {
+    WithinResult result;  // kInputEnd until the scan finds better
+    if (block_start_ >= end_) {
+        return result;  // parked
+    }
     const simd::Kernels& kernels = blocks_.kernels();
-    obs::ModeScope mode(accountant_, obs::BlockMode::kWithinSkip);
     // Absolute-depth budget, as in skip_until_depth_zero.
     const std::size_t max_relative =
         max_skip_depth_ - (base_depth < max_skip_depth_ ? base_depth
                                                         : max_skip_depth_);
-    WithinResult result;
-    std::uint64_t live = bits::mask_from(floor_);
-    while (block_start_ < end_) {
-        const std::uint8_t* block = data_ + block_start_;
-        const simd::BlockMasks& block_masks = blocks_.masks(block_start_);
-        std::uint64_t not_string = ~in_string_ & live & block_valid_mask();
+    constexpr std::size_t kNotFound = ~std::size_t{0};
+    std::size_t limit_hit = kNotFound;
+    std::size_t closer_pos = kNotFound;
+    // One block of the scan; true stops the walk at the element's closer,
+    // a found label or the depth limit.
+    auto step = [&](const simd::BlockMasks& block_masks, std::size_t block_start,
+                    std::uint64_t bound) {
+        std::uint64_t not_string = ~block_masks.in_string & bound;
         std::uint64_t openers =
             (block_masks.open_braces | block_masks.open_brackets) & not_string;
         std::uint64_t closers =
@@ -402,33 +418,31 @@ StructuralIterator::WithinResult StructuralIterator::skip_to_label_within(
         // Candidate labels: string-opening quotes, prefiltered by the
         // label's first byte (bit 63's successor lives in the next block,
         // so it is kept and left to bytewise verification).
-        std::uint64_t candidates = unescaped_quotes_ & in_string_ & live;
+        std::uint64_t candidates =
+            block_masks.unescaped_quotes & block_masks.in_string & bound;
         if (!escaped_label.empty()) {
             std::uint64_t first = kernels.eq_mask(
-                block, static_cast<std::uint8_t>(escaped_label[0]));
+                data_ + block_start, static_cast<std::uint8_t>(escaped_label[0]));
             candidates &= (first >> 1) | (1ULL << 63);
         }
         std::uint64_t combined = openers | closers | candidates;
         for (bits::BitIter it(combined); !it.done(); it.advance()) {
             int bit = it.index();
             std::uint64_t bit_mask = 1ULL << bit;
-            std::size_t pos = block_start_ + static_cast<std::size_t>(bit);
+            std::size_t pos = block_start + static_cast<std::size_t>(bit);
             if (openers & bit_mask) {
                 ++relative_depth;
                 if (static_cast<std::size_t>(relative_depth) > max_relative) {
-                    fail(StatusCode::kDepthLimit, pos);
-                    result.outcome = WithinResult::Outcome::kInputEnd;
-                    return result;
+                    limit_hit = pos;
+                    return true;
                 }
                 opened.push(data_[pos] == classify::kOpenBrace);
                 continue;
             }
             if (closers & bit_mask) {
                 if (--relative_depth == 0) {
-                    // The element closed: leave the closer pending.
-                    seek(pos);
-                    result.outcome = WithinResult::Outcome::kElementEnd;
-                    return result;
+                    closer_pos = pos;  // the element closed
+                    return true;
                 }
                 opened.pop();
                 continue;
@@ -450,18 +464,28 @@ StructuralIterator::WithinResult StructuralIterator::skip_to_label_within(
             result.outcome = WithinResult::Outcome::kFoundLabel;
             result.colon_pos = after;
             result.value_pos = first_non_ws(after + 1);
-            seek(result.value_pos);
-            return result;
+            return true;
         }
-        if (!advance_block(/*with_structural=*/false)) {
-            // The element never closed (or its closer sits beyond the
-            // in-string flag advance_block raised): unbalanced structure.
-            fail(StatusCode::kUnbalancedStructure, size_);
-            break;
-        }
-        live = ~0ULL;
+        return false;
+    };
+    if (enter(block_start_, obs::BlockMode::kWithinSkip, step,
+              /*at_current=*/true) == nullptr) {
+        // The element never closed (or its closer sits beyond the
+        // in-string flag enter() raised): unbalanced structure.
+        fail(StatusCode::kUnbalancedStructure, size_);
+        return result;
     }
-    result.outcome = WithinResult::Outcome::kInputEnd;
+    if (limit_hit != kNotFound) {
+        fail(StatusCode::kDepthLimit, limit_hit);
+        return result;
+    }
+    if (closer_pos != kNotFound) {
+        // Leave the closer pending.
+        seek(closer_pos, obs::BlockMode::kWithinSkip);
+        result.outcome = WithinResult::Outcome::kElementEnd;
+        return result;
+    }
+    seek(result.value_pos, obs::BlockMode::kWithinSkip);
     return result;
 }
 
@@ -472,11 +496,12 @@ ResumePoint StructuralIterator::resume_point() const
 
 void StructuralIterator::resume(const ResumePoint& point)
 {
-    block_start_ = point.block_start;
     // floor == 64 is a legal "block spent" handoff (a producer that
     // consumed bit 63); mask_from copes with it, but never let a negative
     // floor reach the shift below.
-    floor_ = point.floor < 0 ? 0 : point.floor;
+    const int floor = point.floor < 0 ? 0 : point.floor;
+    block_start_ = point.block_start;
+    floor_ = floor;
     if (block_start_ >= end_) {
         block_start_ = end_;
         struct_mask_ = 0;
@@ -484,8 +509,10 @@ void StructuralIterator::resume(const ResumePoint& point)
         return;
     }
     blocks_.restart(point.quote_state);
-    classify_block(/*with_structural=*/true);
-    struct_mask_ &= bits::mask_from(floor_);
+    if (enter_structural(block_start_, /*first_only=*/true)) {
+        floor_ = floor;
+        struct_mask_ &= bits::mask_from(floor);
+    }
 }
 
 std::size_t StructuralIterator::first_non_ws(std::size_t pos) const noexcept

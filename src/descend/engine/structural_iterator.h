@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -31,6 +32,7 @@
 #include "descend/obs/accounting.h"
 #include "descend/simd/dispatch.h"
 #include "descend/util/bit_stack.h"
+#include "descend/util/bits.h"
 #include "descend/util/budget.h"
 #include "descend/util/status.h"
 
@@ -208,25 +210,76 @@ private:
      *  ones except in the final partial block of a slice, where only bits
      *  below size() - block_start_ are live. Callable only while
      *  block_start_ < end_. */
-    std::uint64_t block_valid_mask() const noexcept;
+    std::uint64_t block_valid_mask() const noexcept
+    {
+        return classify::valid_mask(block_start_, size_);
+    }
 
     /** The structural mask of a pre-classified block under the current
      *  comma/colon toggles — a pure recomposition of cached masks. */
     std::uint64_t compose_structural(const simd::BlockMasks& masks) const noexcept;
 
-    /** Pulls the block at block_start_ from the batch stream (quotes
-     *  always; the structural mask unless we are about to run the depth
-     *  view instead). */
-    void classify_block(bool with_structural);
+    /**
+     * The iterator's one block walk (classify::BatchedBlockStream::walk):
+     * offers blocks from @p from on to @p stop until it accepts one, with
+     * the position and the step's state in locals. With @p at_current the
+     * walk starts in the current block (@p from == block_start_), offered
+     * from the floor on. The stopping block becomes current —
+     * block_start_, in_string_, unescaped_quotes_ and
+     * block_entry_quote_state_ are written back once, from it; the caller
+     * sets floor_ and struct_mask_ — and the run of blocks the walk
+     * entered is accounted once, to the validator and to the accountant
+     * under @p mode. Returns the block's masks, or null when input ended
+     * (a string still open there flags kTruncatedString) or a refill
+     * latched a budget interrupt; either way the iterator is parked.
+     */
+    template <typename Stop>
+    const simd::BlockMasks* enter(std::size_t from, obs::BlockMode mode,
+                                  Stop&& stop, bool at_current = false);
 
-    /** Advances to the next block; returns false at end of input. */
-    bool advance_block(bool with_structural);
+    /** enter()'s exit when no block stopped the walk: parks, on the
+     *  latched interrupt or at end of input (flagging a string still open
+     *  there). @p ends_in_string: the string state at the end of the last
+     *  block the walk entered, if it @p entered any. Runs once per input. */
+    [[gnu::noinline]] void end_walk(bool entered, bool ends_in_string);
+
+    /** Takes the budget interrupt the block stream latched as status(). */
+    [[gnu::cold]] void latch_interrupt();
+
+    /** Enters blocks from @p from on up to the first with an enabled
+     *  structural character — or just the first, with @p first_only — and
+     *  makes its composed mask current at floor 0; false when parked. */
+    bool enter_structural(std::size_t from, bool first_only);
+
+    /** next()/peek() on a spent block: walks to the next block with an
+     *  enabled structural character; false at end of input. */
+    bool advance();
 
     /** Shared fast-forward core for both skip flavours. */
     void skip_until_depth_zero(classify::BracketKind kind, bool consume_closer,
-                               std::size_t base_depth);
+                               std::size_t base_depth, obs::BlockMode mode);
 
-    Event event_at(int bit) const;
+    /** The event at @p bit of the current block; its kind comes from
+     *  kEventKinds. */
+    Event event_at(int bit) const noexcept
+    {
+        std::size_t pos = block_start_ + static_cast<std::size_t>(bit);
+        std::uint8_t byte = data_[pos];
+        return {kEventKinds[byte], byte, pos};
+    }
+
+    /** Event kind by byte value: the composed mask only surfaces
+     *  brackets, colons and commas. */
+    static constexpr std::array<Kind, 256> kEventKinds = [] {
+        std::array<Kind, 256> kinds{};
+        kinds.fill(Kind::kComma);
+        kinds[classify::kOpenBrace] = Kind::kOpening;
+        kinds[classify::kOpenBracket] = Kind::kOpening;
+        kinds[classify::kCloseBrace] = Kind::kClosing;
+        kinds[classify::kCloseBracket] = Kind::kClosing;
+        kinds[classify::kColon] = Kind::kColon;
+        return kinds;
+    }();
 
     /** Records the first malformed-input condition and parks at end. */
     void fail(StatusCode code, std::size_t offset);
@@ -251,8 +304,9 @@ private:
     }
 
     /** Repositions to @p pos (>= current position), rolling the batch
-     *  stream forward and recomposing the target block from there. */
-    void seek(std::size_t pos);
+     *  stream forward (blocks entered on the way count as @p mode) and
+     *  recomposing the target block from there. */
+    void seek(std::size_t pos, obs::BlockMode mode);
 
     std::size_t block_start_ = 0;
     int floor_ = 0;
@@ -261,5 +315,24 @@ private:
     std::uint64_t struct_mask_ = 0;
     classify::QuoteState block_entry_quote_state_;
 };
+
+inline StructuralIterator::Event StructuralIterator::next()
+{
+    if (struct_mask_ == 0 && !advance()) {
+        return {Kind::kNone, 0, size_};
+    }
+    int bit = bits::trailing_zeros(struct_mask_);
+    struct_mask_ = bits::clear_lowest_bit(struct_mask_);
+    floor_ = bit + 1;
+    return event_at(bit);
+}
+
+inline StructuralIterator::Event StructuralIterator::peek()
+{
+    if (struct_mask_ == 0 && !advance()) {
+        return {Kind::kNone, 0, size_};
+    }
+    return event_at(bits::trailing_zeros(struct_mask_));
+}
 
 }  // namespace descend

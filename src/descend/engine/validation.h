@@ -12,10 +12,11 @@
  *    along with block classification instead of re-scanning. Every 64-byte
  *    block flows through exactly one quote-classification site (the
  *    structural iterator or the label search; the stop/resume protocol
- *    guarantees in-order, no-gap coverage), and each site reports its
- *    block here once. The validator accumulates per-kind bracket balances
- *    ('{'/'}' and '['/']' counted separately, in-string positions masked
- *    out) and remembers whether the final block ended inside a string.
+ *    guarantees in-order, no-gap coverage), and each site reports each
+ *    run of blocks it walked here once. The validator accumulates
+ *    per-kind bracket balances ('{'/'}' and '['/']' counted separately,
+ *    in-string positions masked out) and remembers whether the final
+ *    block ended inside a string.
  *
  *    The per-kind balances catch what the skipping engines structurally
  *    cannot see locally: any single byte-level corruption of a bracket
@@ -23,15 +24,18 @@
  *    even when a kind-filtered fast-forward would happily jump across the
  *    damage. The end-of-input string state catches unterminated strings,
  *    including a lone '\\' swallowing the padding. Cost per full block:
- *    four adds of the bracket counts classify_batch already produced, no
- *    popcount and no kernel call; only a slice's final partial block
- *    re-derives its counts from masks clipped to the end bound.
+ *    four adds of the bracket counts classify_batch already produced, in
+ *    the walking consumer's locals (classify::RunBalance), no popcount and
+ *    no kernel call; only a slice's final partial block re-derives its
+ *    counts from masks clipped to the end bound.
  */
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
+#include "descend/classify/block_batch.h"
 #include "descend/engine/padded_string.h"
 #include "descend/simd/dispatch.h"
 #include "descend/util/status.h"
@@ -44,34 +48,29 @@ EngineStatus preflight_document(PaddedView document, const EngineLimits& limits)
 class StructuralValidator {
 public:
     /**
-     * Accounts one classified block from its pre-computed batch masks.
-     * Blocks must arrive in order and are counted exactly once
-     * (re-classification of an already-counted block, as the resume
-     * protocol performs, is ignored via the monotone counter).
+     * Accounts the blocks [@p from, @p to) as one run, with @p run summed
+     * over exactly those blocks by classify::BatchedBlockStream::walk (a
+     * whole block adds the batch's bracket counts; a slice's final partial
+     * block counts its masks clipped to the input's end bound, since its
+     * tail bytes belong to the surrounding buffer).
      *
-     * @param valid mask of positions within the input's end bound. All
-     *        ones for full blocks, which add the batch's bracket counts; a
-     *        low-bits mask for the final partial block of a PaddedView
-     *        slice, whose tail bytes belong to the surrounding buffer and
-     *        must not move any balance, so its counts come from the masks
-     *        clipped to @p valid.
+     * Blocks must arrive in order and are counted exactly once: a run is
+     * accounted only if it starts at the monotone cursor, so the resume
+     * protocol's re-classification of an already-counted block is
+     * ignored. Consumers start every multi-block run at the cursor, so
+     * the balances, verdicts and offsets equal block-by-block accounting.
      */
-    void account(const simd::BlockMasks& masks, std::size_t block_start,
-                 std::uint64_t valid = ~std::uint64_t{0}) noexcept
+    void account_run(std::size_t from, std::size_t to,
+                     const classify::RunBalance& run) noexcept
     {
-        if (block_start != counted_until_) {
+        assert(from >= counted_until_ || to <= counted_until_);
+        if (from != counted_until_ || to == from) {
             return;
         }
-        counted_until_ += simd::kBlockSize;
-        if (valid == ~std::uint64_t{0}) {
-            obj_balance_ += static_cast<std::int64_t>(masks.counts.open_braces) -
-                            static_cast<std::int64_t>(masks.counts.close_braces);
-            arr_balance_ += static_cast<std::int64_t>(masks.counts.open_brackets) -
-                            static_cast<std::int64_t>(masks.counts.close_brackets);
-            ends_in_string_ = (masks.in_string >> 63) != 0;
-            return;
-        }
-        account_partial(masks, valid);
+        counted_until_ = to;
+        obj_balance_ += run.object;
+        arr_balance_ += run.array;
+        ends_in_string_ = run.ends_in_string;
     }
 
     /** Number of bytes covered by accounted blocks so far. */
@@ -95,10 +94,6 @@ public:
     }
 
 private:
-    /** The masked path of account() for a slice's final partial block. */
-    void account_partial(const simd::BlockMasks& masks,
-                         std::uint64_t valid) noexcept;
-
     std::size_t counted_until_ = 0;
     std::int64_t obj_balance_ = 0;
     std::int64_t arr_balance_ = 0;

@@ -9,11 +9,12 @@
  *       == ceil(document_size / kBlockSize)
  *
  * and it holds by construction: the BlockAccountant uses the same
- * monotone-cursor idiom as StructuralValidator::account (validation.h) —
- * a block is attributed exactly when its start equals the cursor, so the
- * stop/resume protocol's re-classification of a block the other pipeline
- * already consumed is ignored, and every block is counted exactly once
- * under the mode that was active at its *first* classification. finish()
+ * monotone-cursor idiom as StructuralValidator::account_run
+ * (validation.h) — a run of blocks is attributed exactly when it starts at
+ * the cursor, so the stop/resume protocol's re-classification of a block
+ * the other pipeline already consumed is ignored, and every block is
+ * counted exactly once under the mode of the walk that first classified
+ * it (each pipeline names the mode when it accounts the run). finish()
  * closes the books by attributing the never-classified tail (blocks after
  * the root closer hold only whitespace — the engine's trailing-content
  * check guarantees it — so no pipeline ever pulls them).
@@ -60,24 +61,18 @@ public:
     /** The registry the pipelines should also feed (ring refills). */
     Counters* counters() const noexcept { return counters_; }
 
-    /** Current attribution mode for account(); skips set and restore it. */
-    void set_mode(BlockMode mode) noexcept { mode_ = mode; }
-
-    /** Attributes the block at @p block_start to the current mode (first
-     *  classification wins; later re-classifications are ignored). */
-    void account(std::size_t block_start) noexcept
+    /** Attributes the blocks [@p from, @p to), a run one pipeline walked
+     *  in @p mode, with one counter add. First classification wins: the
+     *  run counts only if it starts at the cursor (a resume's
+     *  re-classification of a block the other pipeline already consumed
+     *  is ignored), the same rule StructuralValidator::account_run keeps. */
+    void account_run(std::size_t from, std::size_t to, BlockMode mode) noexcept
     {
-        account_as(block_start, mode_);
-    }
-
-    /** Attributes to an explicit mode (the label search is always head-skip). */
-    void account_as(std::size_t block_start, BlockMode mode) noexcept
-    {
-        if (counters_ == nullptr || block_start != counted_until_) {
+        if (counters_ == nullptr || from != counted_until_ || to <= from) {
             return;
         }
-        counted_until_ += simd::kBlockSize;
-        counters_->add(block_mode_counter(mode));
+        counted_until_ = to;
+        counters_->add(block_mode_counter(mode), (to - from) / simd::kBlockSize);
     }
 
     /** Attributes every remaining (never-classified) block to the tail.
@@ -99,7 +94,6 @@ public:
 private:
     Counters* counters_;
     std::size_t counted_until_ = 0;
-    BlockMode mode_ = BlockMode::kStructural;
 };
 
 #else  // DESCEND_OBS_ENABLED
@@ -108,35 +102,10 @@ class BlockAccountant {
 public:
     explicit BlockAccountant(Counters*) noexcept {}
     Counters* counters() const noexcept { return nullptr; }
-    void set_mode(BlockMode) noexcept {}
-    void account(std::size_t) noexcept {}
-    void account_as(std::size_t, BlockMode) noexcept {}
+    void account_run(std::size_t, std::size_t, BlockMode) noexcept {}
     void finish(std::size_t) noexcept {}
 };
 
 #endif  // DESCEND_OBS_ENABLED
-
-/** RAII mode switch: restores kStructural when the skip scope exits. */
-class ModeScope {
-public:
-    ModeScope(BlockAccountant* accountant, BlockMode mode) noexcept
-        : accountant_(accountant)
-    {
-        if (accountant_ != nullptr) {
-            accountant_->set_mode(mode);
-        }
-    }
-    ~ModeScope()
-    {
-        if (accountant_ != nullptr) {
-            accountant_->set_mode(BlockMode::kStructural);
-        }
-    }
-    ModeScope(const ModeScope&) = delete;
-    ModeScope& operator=(const ModeScope&) = delete;
-
-private:
-    BlockAccountant* accountant_;
-};
 
 }  // namespace descend::obs

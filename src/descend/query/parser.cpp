@@ -68,7 +68,9 @@ public:
             fail("query must start with '$'");
         }
         ++pos_;
-        result.selectors_.push_back({SelectorKind::kRoot});
+        Selector root;
+        root.kind = SelectorKind::kRoot;
+        result.selectors_.push_back(std::move(root));
         while (pos_ < text_.size()) {
             if (result.selectors_.back().kind == SelectorKind::kChildFilter) {
                 fail("filter selectors are supported only in final position");

@@ -119,6 +119,59 @@ TEST_F(FaultTest, BatchRefillAtLaterBlockKeepsEarlierMatches)
     EXPECT_GE(status.offset, simd::kBatchSize);
 }
 
+/** `{"pad": [...], <member> "pad": [...], "z": 2}` with @p member at
+ *  about byte 600 and the document about 3000 bytes long. */
+std::string long_member_document(const std::string& member)
+{
+    std::string doc = "{\"pad\": [";
+    while (doc.size() < 590) {
+        doc += "{\"k\": 0}, ";
+    }
+    doc += "0], " + member + " \"rest\": [";
+    while (doc.size() < 3000) {
+        doc += "{\"k\": 0}, ";
+    }
+    return doc + "0], \"z\": 2}";
+}
+
+TEST_F(FaultTest, BatchRefillInTheMiddleOfALongSkip)
+{
+    // `$.a` matches at ~600, then sibling-skips to the root's closer: the
+    // third refill (byte 1024) fires inside that skip.
+    PaddedString padded(long_member_document("\"a\": 1,"));
+    fault::arm(fault::Site::kBatchRefill, 2,
+               static_cast<std::uint64_t>(StatusCode::kDeadlineExceeded));
+    DescendEngine engine = DescendEngine::for_query("$.a");
+    RunStats stats;
+    {
+        OffsetSink sink;
+        stats = engine.run_with_stats(padded, sink);
+        EXPECT_EQ(sink.offsets().size(), 1u);
+    }
+    EXPECT_EQ(stats.status,
+              (EngineStatus{StatusCode::kDeadlineExceeded, 2 * simd::kBatchSize}));
+    EXPECT_EQ(fault::fired_count(fault::Site::kBatchRefill), 1u);
+    if constexpr (obs::kEnabled) {
+        EXPECT_EQ(stats.counters.get(obs::Counter::kSiblingSkips), 1u);
+    }
+}
+
+TEST_F(FaultTest, BatchRefillInTheMiddleOfAHeadSkipWalk)
+{
+    // `$..z` head-skips: the search and the idle iterator refill block 0
+    // once each, then the search walks; its second walk refill (byte
+    // 1024, the fourth refill overall) fires mid-walk.
+    PaddedString padded(long_member_document("\"a\": 1,"));
+    fault::arm(fault::Site::kBatchRefill, 3,
+               static_cast<std::uint64_t>(StatusCode::kCancelled));
+    DescendEngine engine = DescendEngine::for_query("$..z");
+    CountSink sink;
+    EXPECT_EQ(engine.run(padded, sink),
+              (EngineStatus{StatusCode::kCancelled, 2 * simd::kBatchSize}));
+    EXPECT_EQ(sink.count(), 0u);
+    EXPECT_EQ(fault::fired_count(fault::Site::kBatchRefill), 1u);
+}
+
 TEST_F(FaultTest, OutOfRangePayloadDefaultsToDeadline)
 {
     std::string doc = wide_document();

@@ -243,6 +243,63 @@ TEST(GovernanceEngineTest, MidRunCancellationStopsTheRun)
     }
 }
 
+/** @p head, then `"pad": [` entries of `{"k": "x"}` up to byte @p tail_at,
+ *  then @p tail: a long array no label search or skip can stop in. */
+std::string padded_member(const std::string& head, std::size_t tail_at,
+                          const std::string& tail)
+{
+    std::string doc = head + R"("pad": [{"k": "x"})";
+    while (doc.size() + 12 <= tail_at - 2) {
+        doc += R"(, {"k": "x"})";
+    }
+    doc.append(tail_at - 2 - doc.size(), ' ');
+    return doc.append("], ").append(tail);
+}
+
+TEST(GovernanceEngineTest, CancelLatchedInTheMiddleOfALongSkip)
+{
+    // `$.a` matches its atom near byte 620, then sibling-skips the rest of
+    // the root (or, in ablated configurations, walks it): the refill at
+    // 1024 observes the cancel, in the middle of the skip, and the run
+    // reports it there.
+    std::string doc = padded_member("{", 600, R"("a": 1, )");
+    doc = padded_member(doc, 3000, R"("z": 2})");
+    ASSERT_GT(doc.find("\"a\""), simd::kBatchSize);
+    ASSERT_LT(doc.find("\"a\""), 2 * simd::kBatchSize);
+    PaddedString padded(doc);
+    for (EngineOptions options : testing::engine_configurations()) {
+        CancelToken token;
+        options.budget = RunBudget::with_cancel(&token);
+        DescendEngine engine(automaton::CompiledQuery::compile("$.a"), options);
+        CancellingSink sink(token);
+        EXPECT_EQ(engine.run(padded, sink),
+                  (EngineStatus{StatusCode::kCancelled, 2 * simd::kBatchSize}))
+            << "descend[" << testing::describe(options) << "]";
+        EXPECT_EQ(sink.matches, 1u);
+    }
+}
+
+TEST(GovernanceEngineTest, CancelLatchedInTheMiddleOfAHeadSkipWalk)
+{
+    // `$..b` matches an atom near byte 620; the label search then walks
+    // candidate-free blocks toward the next "b" at ~3000 and observes the
+    // cancel at the refill of byte 1024 (a configuration without
+    // head-skipping iterates instead and stops at the same refill).
+    std::string doc = padded_member("{", 600, R"("b": 1, )");
+    doc = padded_member(doc, 3000, R"("b": 2})");
+    PaddedString padded(doc);
+    for (EngineOptions options : testing::engine_configurations()) {
+        CancelToken token;
+        options.budget = RunBudget::with_cancel(&token);
+        DescendEngine engine(automaton::CompiledQuery::compile("$..b"), options);
+        CancellingSink sink(token);
+        EXPECT_EQ(engine.run(padded, sink),
+                  (EngineStatus{StatusCode::kCancelled, 2 * simd::kBatchSize}))
+            << "descend[" << testing::describe(options) << "]";
+        EXPECT_EQ(sink.matches, 1u);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Stream governance: deterministic across thread counts.
 // ---------------------------------------------------------------------------

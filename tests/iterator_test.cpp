@@ -290,6 +290,126 @@ TEST_P(IteratorTest, StopResumeRoundTrip)
     EXPECT_EQ(rest_once, "{}]}");
 }
 
+/** Balanced filler of exactly @p bytes, padded with spaces: array
+ *  entries that nest arrays (blocks an array skip must walk closer by
+ *  closer) or, with @p objects_only, only objects (whole blocks an array
+ *  skip settles from the batch counts). Both put brackets in strings. */
+std::string filler(std::size_t bytes, bool objects_only = false)
+{
+    const std::string entry = objects_only ? R"({"k": "]}", "v": {"w": {}}}, )"
+                                           : R"({"k": "]}", "v": [1, [2, {}]]}, )";
+    std::string text;
+    while (text.size() + entry.size() <= bytes) {
+        text += entry;
+    }
+    return text.append(bytes - text.size(), ' ');
+}
+
+TEST_P(IteratorTest, SkipsWhoseCloserEndsABatchOrOpensOne)
+{
+    // The skipped element's closer at bit 0 of block 0 and at bits 0 and
+    // 63 of block 7, each in a later batch than the one the skip starts in.
+    const std::size_t batch2 = 2 * simd::kBatchSize;
+    const std::size_t block7 = batch2 + 7 * simd::kBlockSize;
+    const std::size_t closers[] = {batch2, block7, block7 + 63};
+    // Each closer position with both fillers.
+    for (std::size_t variant = 0; variant < 6; ++variant) {
+        const std::size_t closer_at = closers[variant / 2];
+        const bool objects_only = variant % 2 != 0;
+        // [[1, <filler>] ] with the inner closer at closer_at.
+        std::string text = "[[1, ";
+        text += filler(closer_at - text.size(), objects_only);
+        text += "]]";
+        ASSERT_EQ(text[closer_at], ']');
+        PaddedString doc(text);
+        {
+            StructuralValidator validator;
+            StructuralIterator iter(doc, kernels(), &validator);
+            ASSERT_EQ(iter.next().pos, 0u);
+            auto open = iter.next();
+            ASSERT_EQ(open.pos, 1u);
+            iter.skip_element(open.byte);
+            EXPECT_EQ(iter.position(), closer_at + 1) << "closer at " << closer_at;
+            auto outer = iter.next();
+            EXPECT_EQ(outer.pos, closer_at + 1) << "closer at " << closer_at;
+            EXPECT_EQ(iter.next().kind, Kind::kNone);
+            EXPECT_TRUE(iter.status().ok());
+            EXPECT_TRUE(validator.verdict(doc.size()).ok());
+        }
+        StructuralIterator iter(doc, kernels());
+        ASSERT_EQ(iter.next().pos, 0u);
+        ASSERT_EQ(iter.next().pos, 1u);
+        iter.skip_to_parent_close(/*parent_is_object=*/false);
+        auto closer = iter.next();
+        EXPECT_EQ(closer.pos, closer_at) << "closer at " << closer_at;
+        EXPECT_EQ(closer.kind, Kind::kClosing);
+        EXPECT_TRUE(iter.status().ok());
+    }
+}
+
+TEST_P(IteratorTest, SkipsEndingAtTheLastByteOfASlice)
+{
+    // A slice whose final partial block ends with the skipped element's
+    // closer, inside a buffer that continues with more closers: both skip
+    // flavours stop exactly at the slice's last byte and nothing past it
+    // leaks into the events or the balances.
+    // Two slice sizes, each with both fillers.
+    for (int variant = 0; variant < 4; ++variant) {
+        const std::size_t size = variant < 2 ? 1000 : 1025;
+        const bool objects_only = variant % 2 != 0;
+        std::string text = "[[1], ";
+        text += filler(size - 1 - text.size(), objects_only);
+        text += "]";
+        ASSERT_EQ(text.size(), size);
+        ASSERT_NE(size % simd::kBlockSize, 0u);
+        PaddedString buffer(text + "]]}");
+        PaddedView slice = PaddedView(buffer).subview(0, size);
+
+        StructuralValidator validator;
+        StructuralIterator iter(slice, kernels(), &validator);
+        auto open = iter.next();
+        iter.skip_element(open.byte);
+        EXPECT_EQ(iter.position(), size);
+        EXPECT_EQ(iter.next().kind, Kind::kNone);
+        EXPECT_TRUE(iter.status().ok()) << to_string(iter.status());
+        EXPECT_TRUE(validator.verdict(size).ok());
+
+        StructuralIterator sibling(slice, kernels());
+        ASSERT_EQ(sibling.next().pos, 0u);
+        ASSERT_EQ(sibling.next().pos, 1u);
+        ASSERT_EQ(sibling.next().pos, 3u);  // the first entry closed
+        sibling.skip_to_parent_close(/*parent_is_object=*/false);
+        auto closer = sibling.next();
+        EXPECT_EQ(closer.pos, size - 1);
+        EXPECT_EQ(sibling.next().kind, Kind::kNone);
+        EXPECT_TRUE(sibling.status().ok());
+    }
+}
+
+TEST_P(IteratorTest, ResumePointAfterALongSkipResumesThere)
+{
+    // A skip across three batches ends mid-block; its resume point
+    // restarts a second iterator at exactly that position.
+    std::string text = "[[";
+    text += filler(3 * simd::kBatchSize + 17 - text.size());
+    text += R"(], {"x": [1]}, 2])";
+    PaddedString doc(text);
+    StructuralIterator iter(doc, kernels());
+    ASSERT_EQ(iter.next().pos, 0u);
+    auto open = iter.next();
+    iter.skip_element(open.byte);
+    const std::size_t after = 3 * simd::kBatchSize + 18;
+    EXPECT_EQ(iter.position(), after);
+    ResumePoint point = iter.resume_point();
+    EXPECT_EQ(point.block_start + static_cast<std::size_t>(point.floor), after);
+
+    StructuralIterator resumed(doc, kernels());
+    resumed.resume(point);
+    EXPECT_EQ(resumed.position(), after);
+    EXPECT_EQ(drain(resumed), "{[]}]");
+    EXPECT_EQ(drain(iter), "{[]}]");
+}
+
 TEST_P(IteratorTest, FirstNonWs)
 {
     PaddedString doc("  \t\n7 ");

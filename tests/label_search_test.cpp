@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "descend/engine/label_search.h"
+#include "descend/engine/validation.h"
 
 namespace descend {
 namespace {
@@ -167,6 +168,95 @@ TEST(LabelSearch, StopAndResume)
     auto second = search.next();
     ASSERT_TRUE(second.has_value());
     EXPECT_GT(second->quote_pos, first->quote_pos);
+}
+
+/** @p fill spaces after @p head, then @p tail: a document whose tail
+ *  starts at byte head.size() + fill. */
+std::string spaced(const std::string& head, std::size_t tail_at,
+                   const std::string& tail)
+{
+    return std::string(head).append(tail_at - head.size(), ' ').append(tail);
+}
+
+TEST(LabelSearch, OccurrenceInBlockZeroOfAFreshBatch)
+{
+    // Blocks 1..15 hold no candidate at all (the walk crosses a whole
+    // batch without stopping); the label's quote opens block 16, the
+    // first block of the third batch — and block 8, the first of the
+    // second, with only seven candidate-free blocks before it.
+    for (std::size_t quote_at : {2 * simd::kBatchSize, simd::kBatchSize,
+                                 2 * simd::kBatchSize + 1}) {
+        std::string doc =
+            spaced(R"({"pad": [1, 2)", quote_at - 3, R"(], "needle": 1})");
+        ASSERT_EQ(doc.find("\"needle\""), quote_at);
+        for (simd::Level level :
+             {simd::Level::avx512, simd::Level::avx2, simd::Level::scalar}) {
+            EXPECT_EQ(find_all(doc, "needle", level),
+                      std::vector<std::size_t>{quote_at})
+                << "quote at " << quote_at << ", " << simd::level_name(level);
+        }
+    }
+}
+
+TEST(LabelSearch, CandidateAtBit63OfABatchsLastBlock)
+{
+    // Bit 63 of block 7 (the last byte of the first batch) opens a string
+    // whose first content byte lives in the next batch: the prefilter
+    // keeps the bit and verification reads across the refill. A decoy
+    // there must be rejected and the walk must go on to bit 63 of block 15,
+    // the next batch's last block, where the label sits.
+    const std::size_t decoy_at = simd::kBatchSize - 1;
+    const std::size_t label_at = 2 * simd::kBatchSize - 1;
+    std::string doc = spaced("{", decoy_at, R"("other": 1,)");
+    doc = spaced(doc, label_at, R"("needle": 2})");
+    ASSERT_EQ(doc.find("\"needle\""), label_at);
+    for (simd::Level level :
+         {simd::Level::avx512, simd::Level::avx2, simd::Level::scalar}) {
+        EXPECT_EQ(find_all(doc, "needle", level),
+                  std::vector<std::size_t>{label_at})
+            << simd::level_name(level);
+        EXPECT_EQ(find_all(doc, "other", level),
+                  std::vector<std::size_t>{decoy_at})
+            << simd::level_name(level);
+    }
+}
+
+TEST(LabelSearch, ResumePointAfterALongWalkResumesThere)
+{
+    // The search walks 20 candidate-free blocks to the first label, whose
+    // value starts three blocks further on; the resume point taken there
+    // hands the iterator exactly that position, and the iterator's own
+    // point hands it back: the second label, three batches further on,
+    // is still found.
+    const std::size_t first_at = 20 * simd::kBlockSize + 5;
+    const std::size_t second_at = first_at + 3 * simd::kBatchSize;
+    std::string doc = spaced("{", first_at, R"("a":)");
+    doc = spaced(doc, first_at + 3 * simd::kBlockSize, R"({"x": 1},)");
+    doc = spaced(doc, second_at, R"("a": 2})");
+    PaddedString padded(doc);
+    StructuralValidator validator;
+    LabelSearch search(padded, simd::best_kernels(), "a", &validator);
+    auto first = search.next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->quote_pos, first_at);
+    const std::size_t value = first_at + 3 * simd::kBlockSize;
+    ASSERT_EQ(doc[value], '{');
+    ResumePoint point = search.resume_point_at(value);
+    EXPECT_EQ(point.block_start + static_cast<std::size_t>(point.floor), value);
+
+    StructuralIterator iter(padded, simd::best_kernels(), &validator);
+    iter.resume(point);
+    EXPECT_EQ(iter.position(), value);
+    auto open = iter.next();
+    EXPECT_EQ(open.pos, value);
+    iter.skip_element(open.byte);
+    EXPECT_EQ(iter.position(), doc.find('}') + 1);
+    search.resume(iter.resume_point());
+    auto second = search.next();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->quote_pos, second_at);
+    EXPECT_FALSE(search.next().has_value());
+    EXPECT_TRUE(validator.verdict(doc.size()).ok());
 }
 
 }  // namespace

@@ -205,6 +205,82 @@ TEST(ObsCounters, HeadSkipAttributesBlocksToLabelSearch)
     }
 }
 
+/** A 2000-byte (32-block, four-batch) document: `"a": 1` in block 0,
+ *  then a long array of `{"k": [0]}` entries, and `"z": 2` closing the
+ *  root in block 31. */
+std::string four_batch_document()
+{
+    const std::string entry = R"(, {"k": [0]})";
+    const std::string tail = R"(], "z": 2})";
+    std::string doc = R"({"a": 1, "rest": [{"k": [0]})";
+    while (doc.size() + entry.size() + tail.size() <= 2000) {
+        doc += entry;
+    }
+    doc.append(2000 - tail.size() - doc.size(), ' ');
+    return doc + tail;
+}
+
+TEST(ObsCounters, SiblingSkipRunIsAccountedOnce)
+{
+    // `$.a` matches in block 0 and sibling-skips to the root's closer in
+    // block 31: block 0 is structural, blocks 1-31 are one sibling-skip
+    // run over four refills. Deleting a '[' inside the skipped run leaves
+    // the object-kind skip and the block attribution unchanged; only the
+    // validator's array balance sees it.
+    std::string doc = four_batch_document();
+    ASSERT_EQ(doc.size(), 2000u);
+    std::string damaged = doc;
+    damaged.erase(damaged.find('[', 1000), 1);
+    for (const std::string& text : {doc, damaged}) {
+        std::size_t matches = 0;
+        RunStats stats = run(text, "$.a", EngineOptions{}, &matches);
+        EXPECT_EQ(matches, 1u);
+        const EngineStatus expected =
+            text == doc ? EngineStatus{}
+                        : EngineStatus{StatusCode::kUnbalancedStructure, text.size()};
+        EXPECT_EQ(stats.status, expected);
+        expect_invariant(stats, text.size());
+        if constexpr (obs::kEnabled) {
+            const obs::Counters& c = stats.counters;
+            EXPECT_EQ(c.get(Counter::kSiblingSkips), 1u);
+            EXPECT_EQ(c.get(Counter::kBlocksStructural), 1u);
+            EXPECT_EQ(c.get(Counter::kBlocksSiblingSkipped), 31u);
+            EXPECT_EQ(c.get(Counter::kBlocksTail), 0u);
+            EXPECT_EQ(c.get(Counter::kBatchRefills), 4u);
+            EXPECT_EQ(c.get(Counter::kBlocksClassified), 32u);
+        }
+    }
+}
+
+TEST(ObsCounters, HeadSkipRunIsAccountedOnce)
+{
+    // `$..z` head-skips over the same document: the label search walks all
+    // 32 blocks (four refills) to the one candidate in block 31, and the
+    // iterator's own stream refills block 0 once at construction. The
+    // damaged copy differs in the verdict alone.
+    std::string doc = four_batch_document();
+    std::string damaged = doc;
+    damaged.erase(damaged.find('[', 1000), 1);
+    for (const std::string& text : {doc, damaged}) {
+        std::size_t matches = 0;
+        RunStats stats = run(text, "$..z", EngineOptions{}, &matches);
+        EXPECT_EQ(matches, 1u);
+        const EngineStatus expected =
+            text == doc ? EngineStatus{}
+                        : EngineStatus{StatusCode::kUnbalancedStructure, text.size()};
+        EXPECT_EQ(stats.status, expected);
+        expect_invariant(stats, text.size());
+        if constexpr (obs::kEnabled) {
+            const obs::Counters& c = stats.counters;
+            EXPECT_EQ(c.get(Counter::kHeadSkipJumps), 1u);
+            EXPECT_EQ(c.get(Counter::kBlocksHeadSkip), 32u);
+            EXPECT_EQ(c.get(Counter::kBlocksStructural), 0u);
+            EXPECT_EQ(c.get(Counter::kBatchRefills), 5u);
+            EXPECT_EQ(c.get(Counter::kBlocksClassified), 40u);
+        }
+    }
+}
+
 TEST(ObsCounters, TrailingWhitespaceBooksAsTailBlocks)
 {
     // 8 content bytes + 200 spaces = 4 blocks; the run finishes inside
