@@ -112,6 +112,7 @@ int verify_all(const PaddedString& document, bool verbose)
     no_skips.child_skipping = false;
     no_skips.sibling_skipping = false;
     no_skips.head_skipping = false;
+    no_skips.label_within_skipping = false;
     for (const SelectorSpec& spec : specs()) {
         std::vector<std::size_t> expected =
             oracle_offsets(spec.query, document);

@@ -28,6 +28,7 @@
  */
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -69,7 +70,8 @@ class DepthStackSimulation {
 public:
     /** @param alphabet the automaton's symbol space (labels and indices).
      *  @param counting the automaton reads array-entry indices, so commas
-     *         are counted and within-element skips are off.
+     *         are counted and within-element skips are off (a skipped
+     *         array's entries would go uncounted).
      *  @param budget the run's governance (null when inactive); threaded
      *         into every pipeline the run constructs. */
     DepthStackSimulation(const Automaton& automaton,
@@ -83,7 +85,8 @@ public:
           stats_(stats),
           budget_(budget),
           other_(alphabet.other_symbol()),
-          counting_(counting)
+          counting_(counting),
+          within_(options.label_within_skipping && !counting)
     {
     }
 
@@ -313,7 +316,7 @@ private:
                     if (!is_object) {
                         try_match_first_item(event.pos, state);
                     }
-                    if (options_.label_within_skipping) {
+                    if (within_gate(state)) {
                         within_skip(iter, state, depth, kinds);
                     }
                     break;
@@ -360,7 +363,7 @@ private:
                         }
                     }
                     toggle(state, kinds.top());
-                    if (options_.label_within_skipping) {
+                    if (within_gate(state)) {
                         within_skip(iter, state, depth, kinds);
                     }
                     break;
@@ -424,14 +427,26 @@ private:
     }
 
     /**
-     * The Section 4.5 extension: in a waiting, non-accepting state,
-     * fast-forwards straight to the awaited label anywhere within the
-     * current element (or to the element's closer). Sound because every
-     * skipped event would leave the state unchanged and cannot match;
-     * atoms carrying the label are reported in-line. Returns with the
-     * iterator positioned either at a matching member's container value
-     * (@p depth / @p kinds extended to the containers opened on the way)
-     * or at the element's pending closer.
+     * Whether @p state takes the within-element skip: the skip is on for
+     * this run, and the state waits for one label without accepting. The
+     * test is inline so that the states which cannot skip (every state of
+     * a descendant-free query) never call the out-of-line within_skip.
+     */
+    bool within_gate(int state) const
+    {
+        const automaton::StateFlags& flags = automaton_.flags(state);
+        return within_ && flags.waiting && !flags.accepting;
+    }
+
+    /**
+     * The Section 4.5 extension: in a waiting, non-accepting state (see
+     * within_gate), fast-forwards straight to the awaited label anywhere
+     * within the current element (or to the element's closer). Sound
+     * because every skipped event would leave the state unchanged and
+     * cannot match; atoms carrying the label are reported in-line. Returns
+     * with the iterator positioned either at a matching member's container
+     * value (@p depth / @p kinds extended to the containers opened on the
+     * way) or at the element's pending closer.
      *
      * Pinned out of line: inlined, it grows run_main_loop by half and
      * measurably slows the counting sets that never call it.
@@ -441,9 +456,8 @@ private:
     {
         const Automaton& cq = automaton_;
         int symbol = cq.waiting_symbol(state);
-        if (symbol < 0 || cq.flags(state).accepting || counting_) {
-            return;
-        }
+        // A waiting state has exactly one live label.
+        assert(symbol >= 0);
         const std::string& label = alphabet_.label(symbol);
         int leaf_target = cq.transition(state, symbol);
         bool leaf_accepting = cq.flags(leaf_target).accepting;
@@ -568,6 +582,9 @@ private:
     const RunBudget* budget_ = nullptr;
     const int other_;
     const bool counting_;
+    /** The within-element skip runs: on in the options, and no entry
+     *  counting (see the constructor). */
+    const bool within_;
     EngineStatus status_;
 };
 

@@ -172,6 +172,37 @@ TEST_F(FaultTest, BatchRefillInTheMiddleOfAHeadSkipWalk)
     EXPECT_EQ(fault::fired_count(fault::Site::kBatchRefill), 1u);
 }
 
+TEST_F(FaultTest, BatchRefillInTheMiddleOfAWithinScan)
+{
+    // `$..a..z` under the default options head-skips to "a", whose object
+    // holds the whole document, and within-skips from its opening toward
+    // "z" near byte 3000. Refills: the search and the idle iterator fill
+    // block 0 once each, the hand-off restarts the iterator's stream at
+    // block 0, and the scan refills at 512; the fifth refill (byte 1024)
+    // fires in the middle of the scan. Either governance code parks the
+    // run there, and every block is still accounted.
+    const std::string doc =
+        "{\"a\": " + long_member_document("\"y\": 1,") + "}";
+    PaddedString padded(doc);
+    DescendEngine engine = DescendEngine::for_query("$..a..z");
+    for (StatusCode code : {StatusCode::kDeadlineExceeded, StatusCode::kCancelled}) {
+        SCOPED_TRACE(status_name(code));
+        fault::disarm_all();
+        fault::arm(fault::Site::kBatchRefill, 4, static_cast<std::uint64_t>(code));
+        CountSink sink;
+        RunStats stats = engine.run_with_stats(padded, sink);
+        EXPECT_EQ(stats.status, (EngineStatus{code, 2 * simd::kBatchSize}));
+        EXPECT_EQ(sink.count(), 0u);
+        EXPECT_EQ(fault::fired_count(fault::Site::kBatchRefill), 1u);
+        if constexpr (obs::kEnabled) {
+            EXPECT_EQ(stats.counters.get(obs::Counter::kWithinSkips), 1u);
+            EXPECT_GT(stats.counters.get(obs::Counter::kBlocksWithinSkipped), 0u);
+            EXPECT_EQ(obs::accounted_blocks(stats.counters),
+                      obs::total_blocks(doc.size()));
+        }
+    }
+}
+
 TEST_F(FaultTest, OutOfRangePayloadDefaultsToDeadline)
 {
     std::string doc = wide_document();

@@ -300,6 +300,44 @@ TEST(GovernanceEngineTest, CancelLatchedInTheMiddleOfAHeadSkipWalk)
     }
 }
 
+TEST(GovernanceEngineTest, CancelLatchedInTheMiddleOfAWithinScan)
+{
+    // `$..a..z` head-skips to "a" and waits for "z" inside its object: the
+    // within-element scan reports the atom `"z": 1` near byte 620 (the
+    // sink cancels there) and scans on through the second pad array; the
+    // refill at 1024 observes the cancel in the middle of that scan. The
+    // configurations without the skip iterate instead and stop at the
+    // same refill. Every block is accounted, parked or not.
+    std::string doc = padded_member(R"({"a": {)", 600, R"("y": {"z": 1}, )");
+    doc = padded_member(doc, 3000, R"("q": {"z": 2}}})");
+    ASSERT_GT(doc.find("\"z\""), simd::kBatchSize);
+    ASSERT_LT(doc.find("\"z\""), 2 * simd::kBatchSize);
+    PaddedString padded(doc);
+    for (EngineOptions options : testing::engine_configurations()) {
+        CancelToken token;
+        options.budget = RunBudget::with_cancel(&token);
+        DescendEngine engine(automaton::CompiledQuery::compile("$..a..z"),
+                             options);
+        CancellingSink sink(token);
+        RunStats stats = engine.run_with_stats(padded, sink);
+        std::string where = "descend[" + testing::describe(options) + "]";
+        EXPECT_EQ(stats.status,
+                  (EngineStatus{StatusCode::kCancelled, 2 * simd::kBatchSize}))
+            << where;
+        EXPECT_EQ(sink.matches, 1u) << where;
+        if constexpr (obs::kEnabled) {
+            EXPECT_EQ(obs::accounted_blocks(stats.counters),
+                      obs::total_blocks(doc.size()))
+                << where;
+            if (options.label_within_skipping) {
+                EXPECT_GT(stats.counters.get(obs::Counter::kBlocksWithinSkipped),
+                          0u)
+                    << where;
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Stream governance: deterministic across thread counts.
 // ---------------------------------------------------------------------------

@@ -75,11 +75,12 @@ std::vector<EngineOptions> descend_configurations()
         no_skips.child_skipping = false;
         no_skips.sibling_skipping = false;
         no_skips.head_skipping = false;
+        no_skips.label_within_skipping = false;
         configurations.push_back(no_skips);
-        EngineOptions within;
-        within.simd = level;
-        within.label_within_skipping = true;
-        configurations.push_back(within);
+        EngineOptions no_within;
+        no_within.simd = level;
+        no_within.label_within_skipping = false;
+        configurations.push_back(no_within);
     }
     return configurations;
 }
@@ -208,10 +209,12 @@ TEST(Malformed, InvalidUtf8InLabel)
 {
     // 0xFF can never appear in UTF-8; 0xC3 unfollowed is truncated.
     std::string document = "{\"\xFF\xFE\": {\"b\": 1}}";
-    // Head-skip mode jumps straight to "b" occurrences and never inspects
-    // the damaged label, so pin the event-driven path explicitly.
+    // Head-skip mode jumps straight to "b" occurrences and the
+    // within-element skip scans past labels it does not await; neither
+    // inspects the damaged label, so pin the event-driven path explicitly.
     EngineOptions no_head;
     no_head.head_skipping = false;
+    no_head.label_within_skipping = false;
     EXPECT_EQ(descend_status("$..b", document, no_head).code,
               StatusCode::kInvalidUtf8InLabel);
     EXPECT_EQ(surfer_status("$..b", document).code,

@@ -435,6 +435,76 @@ TEST(EngineParity, OneQueryFusedRunDecidesLikeTheEngine)
     EXPECT_EQ(runs, 26U * 32U * 4U);
 }
 
+// The within-element skip is on by default. Over the 20 queries of the
+// end-to-end `scan` and `seek` workloads, on a 64 KiB document of each
+// query's dataset (512 KiB for C3r and 128 KiB for Wir, whose rare labels
+// first occur past 64 KiB) and damaged copies of it, the defaults must
+// decide like the defaults without the skip: the same offsets and status
+// on the intact document, a failure on every damaged copy. The seek
+// queries whose states wait inside elements must take the skip; the scan
+// queries, whose states never wait, must run exactly as without it (every
+// counter equal), because the engine tests each state inline before
+// calling it.
+TEST(EngineParity, WithinSkipByDefaultDecidesLikeTheSkipOff)
+{
+    const std::vector<std::string> scan = {"B1", "B2", "B3", "C2", "G1",
+                                           "N2", "T1", "T2", "W2", "Wi"};
+    const std::vector<std::string> seek = {"B3r", "C3r", "G2r", "Tsr", "Wir",
+                                           "W1r", "A1",  "C1",  "A2",  "B2r"};
+    const std::vector<std::string> skipping = {"A2", "B3r", "B2r", "C3r", "Wir"};
+    EngineOptions defaults;
+    ASSERT_TRUE(defaults.label_within_skipping);
+    EngineOptions no_within;
+    no_within.label_within_skipping = false;
+    std::vector<std::string> ids = scan;
+    ids.insert(ids.end(), seek.begin(), seek.end());
+    std::vector<bench::QuerySpec> specs = bench::catalog_subset(ids);
+    ASSERT_EQ(specs.size(), 20U);
+    for (const bench::QuerySpec& spec : specs) {
+        std::size_t kib = spec.id == "C3r" ? 512 : spec.id == "Wir" ? 128 : 64;
+        std::vector<std::string> documents =
+            parity_documents(workloads::generate(spec.dataset, kib * 1024));
+        auto compiled = automaton::CompiledQuery::compile(spec.query);
+        DescendEngine within_engine(compiled, defaults);
+        DescendEngine plain_engine(compiled, no_within);
+        bool is_scan = std::find(scan.begin(), scan.end(), spec.id) != scan.end();
+        for (std::size_t v = 0; v < documents.size(); ++v) {
+            SCOPED_TRACE(spec.id + " document " + std::to_string(v));
+            PaddedString padded(documents[v]);
+            OffsetSink within_sink;
+            OffsetSink plain_sink;
+            RunStats within = within_engine.run_with_stats(padded, within_sink);
+            RunStats plain = plain_engine.run_with_stats(padded, plain_sink);
+            if (v == 0) {
+                EXPECT_TRUE(plain.status.ok()) << plain.status;
+                EXPECT_EQ(within.status, plain.status);
+                EXPECT_EQ(within_sink.offsets(), plain_sink.offsets());
+            } else {
+                EXPECT_FALSE(within.status.ok());
+                EXPECT_FALSE(plain.status.ok());
+            }
+            if constexpr (obs::kEnabled) {
+                EXPECT_EQ(obs::accounted_blocks(within.counters),
+                          obs::total_blocks(documents[v].size()));
+                if (is_scan) {
+                    for (std::size_t c = 0; c < obs::kCounterCount; ++c) {
+                        auto id = static_cast<obs::Counter>(c);
+                        EXPECT_EQ(within.counters.get(id), plain.counters.get(id))
+                            << obs::counter_name(id);
+                    }
+                }
+                bool skips = std::find(skipping.begin(), skipping.end(),
+                                       spec.id) != skipping.end();
+                if (v == 0 && skips) {
+                    EXPECT_GT(within.counters.get(obs::Counter::kBlocksWithinSkipped),
+                              0U);
+                    EXPECT_LT(within.events(), plain.events());
+                }
+            }
+        }
+    }
+}
+
 TEST(MultiEngine, SkippabilityDisagreeingDescendantMixes)
 {
     // The subtree under "payload" is skippable for the child-path queries

@@ -60,6 +60,7 @@ EngineOptions no_skips()
     options.child_skipping = false;
     options.sibling_skipping = false;
     options.head_skipping = false;
+    options.label_within_skipping = false;
     return options;
 }
 
@@ -278,6 +279,84 @@ TEST(ObsCounters, HeadSkipRunIsAccountedOnce)
             EXPECT_EQ(c.get(Counter::kBatchRefills), 5u);
             EXPECT_EQ(c.get(Counter::kBlocksClassified), 40u);
         }
+    }
+}
+
+/** A 256-byte (four-block) document: `"a"`'s object opens in block 0
+ *  with a long array "p"; its members "y" (holding `"z": [1]`) and "w"
+ *  follow in block 3, then `"b": 2` closes the root. */
+std::string within_document()
+{
+    const std::string tail = R"(0], "y": {"z": [1]}, "w": {"k": 0}}, "b": 2})";
+    std::string doc = R"({"a": {"p": [)";
+    while (doc.size() + 3 + tail.size() <= 256) {
+        doc += "0, ";
+    }
+    doc.append(256 - tail.size() - doc.size(), ' ');
+    return doc + tail;
+}
+
+TEST(ObsCounters, WithinSkipScansToTheAwaitedLabel)
+{
+    // `$.a..z` waits for "z" inside "a"'s object, which the default
+    // options within-skip three times: from its opening across "p" and
+    // into y's object to the array value of "z" (blocks 1-3, one run);
+    // from w's opening to its closer; and from w's closer to a's closer.
+    // The events the main loop sees, hand-counted: { (root), { (a),
+    // [ (z, the match), ], } (y), : (w, colons on in the accepting
+    // state), { (w), } (w), } (a, then a sibling skip), } (root) — 10, of
+    // which 4 open. Block 0 is structural, the scan walks blocks 1-3.
+    const std::string doc = within_document();
+    ASSERT_EQ(doc.size(), 256u);
+    ASSERT_GE(doc.find("\"y\""), 3 * simd::kBlockSize);
+    std::size_t matches = 0;
+    RunStats stats = run(doc, "$.a..z", EngineOptions{}, &matches);
+    EXPECT_TRUE(stats.status.ok());
+    EXPECT_EQ(matches, 1u);
+    expect_invariant(stats, doc.size());
+    std::size_t plain_matches = 0;
+    EngineOptions no_within;
+    no_within.label_within_skipping = false;
+    RunStats plain = run(doc, "$.a..z", no_within, &plain_matches);
+    EXPECT_TRUE(plain.status.ok());
+    EXPECT_EQ(plain_matches, 1u);
+    expect_invariant(plain, doc.size());
+    if constexpr (obs::kEnabled) {
+        const obs::Counters& c = stats.counters;
+        EXPECT_EQ(c.get(Counter::kWithinSkips), 3u);
+        EXPECT_EQ(c.get(Counter::kBlocksWithinSkipped), 3u);
+        EXPECT_EQ(c.get(Counter::kBlocksStructural), 1u);
+        EXPECT_EQ(c.get(Counter::kStructuralEvents), 10u);
+        EXPECT_EQ(c.get(Counter::kOpeningEvents), 4u);
+        EXPECT_EQ(c.get(Counter::kSiblingSkips), 1u);
+        // Without the skip, every block is walked structurally.
+        EXPECT_EQ(plain.counters.get(Counter::kWithinSkips), 0u);
+        EXPECT_EQ(plain.counters.get(Counter::kBlocksWithinSkipped), 0u);
+        EXPECT_EQ(plain.counters.get(Counter::kBlocksStructural), 4u);
+        EXPECT_GT(plain.counters.get(Counter::kStructuralEvents), 10u);
+    }
+}
+
+TEST(ObsCounters, IndexQueriesNeverWithinSkip)
+{
+    // `$..a[1]` counts array entries, so its waiting initial state must
+    // not scan past arrays uncounted: the within skip stays off even
+    // though it is on in the options (head-skip off, so the main loop
+    // runs from the root). The comma after a's object then counts in the
+    // outer array's own counter.
+    const std::string doc = R"({"x": [{"a": [5, 6]}, 7]})";
+    EngineOptions no_head;
+    no_head.head_skipping = false;
+    ASSERT_TRUE(no_head.label_within_skipping);
+    PaddedString padded(doc);
+    DescendEngine engine(automaton::CompiledQuery::compile("$..a[1]"), no_head);
+    OffsetSink sink;
+    RunStats stats = engine.run_with_stats(padded, sink);
+    EXPECT_TRUE(stats.status.ok());
+    EXPECT_EQ(sink.offsets(), std::vector<std::size_t>{doc.find('6')});
+    expect_invariant(stats, doc.size());
+    if constexpr (obs::kEnabled) {
+        EXPECT_EQ(stats.counters.get(Counter::kWithinSkips), 0u);
     }
 }
 

@@ -38,7 +38,7 @@
  *                      acts as a cap on whatever is requested here.
  *   --scalar           shorthand for --simd scalar
  *   --no-head-skip     disable memmem head-skipping
- *   --within-skip      enable the within-element label skip extension
+ *   --no-within-skip   disable the within-element label skip extension
  *   --stats            print the JSON observability report to stderr
  *                      (counters, block attribution, phase timings — see
  *                      DESIGN.md §4.6; counters are live when the library
@@ -124,7 +124,7 @@ void usage()
         "  --count | --offsets | --limit N | --project slices|ndjson|count\n"
         "  --engine descend|surfer|ski|dom   --simd scalar|avx2|avx512 | --scalar\n"
         "  --query Q (repeatable) | --queries FILE   fused multi-query set\n"
-        "  --no-head-skip | --within-skip | --stats | --validate\n"
+        "  --no-head-skip | --no-within-skip | --stats | --validate\n"
         "  --ndjson [--threads N] [--fail-fast | --retry-scalar]\n"
         "  --deadline-ms N | --stream-budget-ms N   run governance\n"
         "exit codes: 0 ok, 1 error, 2 usage, 3 malformed input,\n"
@@ -201,8 +201,8 @@ bool parse_args(int argc, char** argv, CliOptions& options)
             }
         } else if (arg == "--no-head-skip") {
             options.engine_options.head_skipping = false;
-        } else if (arg == "--within-skip") {
-            options.engine_options.label_within_skipping = true;
+        } else if (arg == "--no-within-skip") {
+            options.engine_options.label_within_skipping = false;
         } else if (arg == "--limit") {
             if (++i >= argc) {
                 return false;

@@ -33,7 +33,7 @@
  *                        result sets truncate at a value boundary and set
  *                        the values-truncated flag (default 64M, 0 = off)
  *   --simd LEVEL         kernel tier: scalar | avx2 | avx512
- *   --within-skip        enable the within-element label skip extension
+ *   --no-within-skip     disable the within-element label skip extension
  *   --help               this text
  *
  * On startup prints exactly one "listening on ..." line to stdout (and
@@ -74,7 +74,7 @@ void usage()
         "  --max-depth N | --max-matches N\n"
         "  --max-query-bytes N | --max-body-bytes N | --max-projected-bytes N\n"
         "  --simd scalar|avx2|avx512\n"
-        "  --within-skip\n"
+        "  --no-within-skip\n"
         "exit codes: 0 clean shutdown, 2 usage, 5 socket failure\n",
         stderr);
 }
@@ -206,8 +206,8 @@ int main(int argc, char** argv)
                              level);
                 return 2;
             }
-        } else if (arg == "--within-skip") {
-            config.policy.engine.label_within_skipping = true;
+        } else if (arg == "--no-within-skip") {
+            config.policy.engine.label_within_skipping = false;
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 2;
